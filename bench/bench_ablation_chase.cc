@@ -15,7 +15,7 @@ namespace {
 
 using triq::Dictionary;
 
-void RunTc(benchmark::State& state, bool seminaive, bool partition = true,
+void RunTc(benchmark::State& state, bool seminaive,
            triq::chase::JoinStrategy join_strategy =
                triq::chase::JoinStrategy::kAuto) {
   int n = static_cast<int>(state.range(0));
@@ -24,7 +24,6 @@ void RunTc(benchmark::State& state, bool seminaive, bool partition = true,
   triq::chase::Instance base = triq::core::ChainDatabase(n, dict);
   triq::chase::ChaseOptions options;
   options.seminaive = seminaive;
-  options.partition_deltas = seminaive && partition;
   options.join_strategy = join_strategy;
   size_t rounds = 0;
   size_t firings = 0;
@@ -44,37 +43,20 @@ void BM_SeminaiveTc(benchmark::State& state) { RunTc(state, true); }
 BENCHMARK(BM_SeminaiveTc)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// Legacy delta filtering without old/delta/all partitioning: matches
-// joining two delta facts are enumerated once per pass, so `firings`
-// shows the double counting that partitioning removes.
-void BM_SeminaiveUnpartitionedTc(benchmark::State& state) {
-  RunTc(state, true, /*partition=*/false);
-}
-BENCHMARK(BM_SeminaiveUnpartitionedTc)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_NaiveTc(benchmark::State& state) { RunTc(state, false); }
 BENCHMARK(BM_NaiveTc)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// ---- Join-strategy ablation: merge join vs posting probes -----------
+// ---- Join-strategy ablation: planner vs binary plan -----------------
 //
-// The same partitioned semi-naive passes, with the access path forced:
-// kMerge drives the delta window in join-value order through a
-// galloping cursor on the other atom's sorted permutation; kHash is
-// the per-binding posting-probe baseline. Composes with the
-// partition_deltas axis above — together they form the ablation grid.
+// The same semi-naive passes under the written-order binary plan
+// (kBinary: depth-1 merge cursor, posting probes below, no leapfrog);
+// BM_SeminaiveTc above is its kAuto counterpart.
 
-void BM_MergeJoinTc(benchmark::State& state) {
-  RunTc(state, true, true, triq::chase::JoinStrategy::kMerge);
+void BM_BinaryJoinTc(benchmark::State& state) {
+  RunTc(state, true, triq::chase::JoinStrategy::kBinary);
 }
-BENCHMARK(BM_MergeJoinTc)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_HashJoinTc(benchmark::State& state) {
-  RunTc(state, true, true, triq::chase::JoinStrategy::kHash);
-}
-BENCHMARK(BM_HashJoinTc)->Arg(64)->Arg(128)->Arg(256)
+BENCHMARK(BM_BinaryJoinTc)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 void RunExistential(benchmark::State& state,
@@ -125,13 +107,14 @@ void BM_ObliviousExistential(benchmark::State& state) {
 BENCHMARK(BM_ObliviousExistential)->Arg(100)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-// ---- Join-order ablation: greedy most-bound-first vs written order --
+// ---- Join-order ablation: cost-ordered (kAuto) vs written order -----
 
-void RunJoinOrder(benchmark::State& state, bool greedy) {
+void RunJoinOrder(benchmark::State& state,
+                  triq::chase::JoinStrategy join_strategy) {
   int n = static_cast<int>(state.range(0));
   auto dict = std::make_shared<Dictionary>();
-  // A rule written selective-atom-LAST, so the naive order starts with
-  // the huge relation while the greedy order starts from the constant.
+  // A rule written selective-atom-LAST, so the written order (kBinary)
+  // starts with the huge relation while kAuto starts from the constant.
   auto program = triq::datalog::ParseProgram(R"(
     e(?X, ?Y), e(?Y, ?Z), start(?X) -> reach2(?X, ?Z) .
   )",
@@ -147,7 +130,7 @@ void RunJoinOrder(benchmark::State& state, bool greedy) {
   }
   base.AddFact("start", {"v0"});
   triq::chase::ChaseOptions options;
-  options.greedy_atom_order = greedy;
+  options.join_strategy = join_strategy;
   for (auto _ : state) {
     triq::chase::Instance db = triq::core::CloneInstance(base);
     auto status = RunChase(*program, &db, options);
@@ -157,13 +140,13 @@ void RunJoinOrder(benchmark::State& state, bool greedy) {
 }
 
 void BM_GreedyJoinOrder(benchmark::State& state) {
-  RunJoinOrder(state, true);
+  RunJoinOrder(state, triq::chase::JoinStrategy::kAuto);
 }
 BENCHMARK(BM_GreedyJoinOrder)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_WrittenJoinOrder(benchmark::State& state) {
-  RunJoinOrder(state, false);
+  RunJoinOrder(state, triq::chase::JoinStrategy::kBinary);
 }
 BENCHMARK(BM_WrittenJoinOrder)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);

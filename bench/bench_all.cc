@@ -220,16 +220,15 @@ void SuiteChase(const Config& config, const HarnessOptions& options) {
         triq::core::BipartiteTriangleEdges(n, /*deg=*/32, /*planted=*/16,
                                            /*seed=*/7),
         n, dict);
-    // The /binary companion is the committed ablation: the pre-planner
-    // executor (declared atom order, depth-1 merge join) on the same
-    // instance, interleaved with the kAuto run so the A/B ratio in
+    // The /binary companion is the committed ablation: the binary plan
+    // (JoinStrategy::kBinary: declared atom order, depth-1 merge join) on
+    // the same instance, interleaved with the kAuto run so the A/B ratio in
     // BENCH_chase.json is measured back to back. facts_derived must be
     // identical across the pair (the strategy-equivalence guarantee).
     for (bool binary : {false, true}) {
       triq::chase::ChaseOptions chase_options;
       if (binary) {
-        chase_options.greedy_atom_order = false;
-        chase_options.join_strategy = triq::chase::JoinStrategy::kMerge;
+        chase_options.join_strategy = triq::chase::JoinStrategy::kBinary;
       }
       std::string name = "chase/triangle/" + std::to_string(n) +
                          (binary ? "/binary" : "");

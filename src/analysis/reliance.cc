@@ -1,7 +1,6 @@
 #include "analysis/reliance.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -56,21 +55,6 @@ RelianceGraph::RelianceGraph(const Program& program) {
   std::vector<std::vector<uint32_t>> adj(n);
   for (size_t r = 0; r < n; ++r) adj[r] = positive_[r];
   scc_ = common::StronglyConnectedComponents(adj);
-}
-
-std::vector<std::vector<size_t>> RelianceGraph::OrderRules(
-    const std::vector<size_t>& rules) const {
-  // Bucket by group; std::map iteration gives ascending (= topological)
-  // group order, and push_back preserves the caller's order per group.
-  std::map<uint32_t, std::vector<size_t>> buckets;
-  for (size_t r : rules) buckets[GroupOf(r)].push_back(r);
-  std::vector<std::vector<size_t>> out;
-  out.reserve(buckets.size());
-  for (auto& [group, members] : buckets) {
-    (void)group;
-    out.push_back(std::move(members));
-  }
-  return out;
 }
 
 }  // namespace triq::analysis

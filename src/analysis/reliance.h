@@ -23,10 +23,10 @@ namespace triq::analysis {
 ///
 /// The SCC condensation of the positive edges partitions the rules into
 /// groups whose ids are a topological order: saturating groups in
-/// ascending id order means every rule's feeders have reached their
+/// ascending id order would let every rule's feeders reach their
 /// fixpoint before it runs (VLog's seminaiver_ordered schedule). The
-/// chase consumes this for SCC-ordered pass scheduling; rule-level
-/// parallelism across independent groups is the designed next step.
+/// analysis report surfaces the group count; the chase keeps the joint
+/// per-stratum schedule.
 class RelianceGraph {
  public:
   /// Constraints participate as nodes (they rely on their body
@@ -49,14 +49,6 @@ class RelianceGraph {
   /// topological order (common::StronglyConnectedComponents guarantee).
   uint32_t num_groups() const { return scc_.num_components; }
   uint32_t GroupOf(size_t rule) const { return scc_.component[rule]; }
-
-  /// Partitions `rules` (indices into the program) into per-group runs,
-  /// ordered by ascending group id; within a group the input order is
-  /// preserved. Mutually recursive rules always land in one run, so
-  /// saturating the runs in order reaches the same fixpoint as one joint
-  /// saturation.
-  std::vector<std::vector<size_t>> OrderRules(
-      const std::vector<size_t>& rules) const;
 
  private:
   std::vector<std::vector<uint32_t>> positive_;

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/reliance.h"
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 
@@ -63,52 +62,13 @@ class ChaseRun {
       stats_->termination =
           analysis::AnalyzeTermination(program_).termination;
     }
-    if (options_.collect_plans && stats_ != nullptr) {
-      // Plans as a full-evaluation pass would execute them, recorded
-      // before the chase mutates the statistics they were costed on.
-      MatchOptions mo;
-      mo.greedy_atom_order = options_.greedy_atom_order;
-      mo.join_strategy = options_.join_strategy;
-      stats_->rule_plans.reserve(program_.rules().size());
-      for (const Rule& rule : program_.rules()) {
-        stats_->rule_plans.push_back(
-            datalog::RuleToString(rule, instance_->dict()) + "\n" +
-            ExplainMatchPlan(rule, *instance_, mo));
-      }
-    }
-    // SCC-ordered scheduling: saturate each reliance-graph group to its
-    // fixpoint before its dependents. Sound only where the fixpoint is
-    // schedule-independent, so it is gated to existential-free strata
-    // under partitioned semi-naive evaluation without provenance (see
-    // ChaseOptions::scc_rule_order); other strata keep the joint sweep.
-    std::unique_ptr<analysis::RelianceGraph> reliance;
-    if (options_.scc_rule_order && Partitioned() &&
-        !options_.track_provenance) {
-      reliance = std::make_unique<analysis::RelianceGraph>(program_);
-    }
     for (int s = 0; s < strat.num_strata; ++s) {
       std::vector<size_t> rule_indices = strat.RulesInStratum(program_, s);
       if (rule_indices.empty()) continue;
       if (stats_ != nullptr) ++stats_->strata;
-      if (reliance != nullptr && ExistentialFree(rule_indices)) {
-        for (const std::vector<size_t>& group :
-             reliance->OrderRules(rule_indices)) {
-          if (stats_ != nullptr) ++stats_->rule_groups;
-          TRIQ_RETURN_IF_ERROR(SaturateStratum(group));
-        }
-      } else {
-        if (stats_ != nullptr) ++stats_->rule_groups;
-        TRIQ_RETURN_IF_ERROR(SaturateStratum(rule_indices));
-      }
+      TRIQ_RETURN_IF_ERROR(SaturateStratum(rule_indices));
     }
     return CheckConstraints();
-  }
-
-  bool ExistentialFree(const std::vector<size_t>& rule_indices) const {
-    for (size_t r : rule_indices) {
-      if (!program_.rules()[r].ExistentialVariables().empty()) return false;
-    }
-    return true;
   }
 
  private:
@@ -127,10 +87,6 @@ class ChaseRun {
   /// rebalance shards whose join fan-out is skewed.
   static constexpr size_t kMinDriverPerShard = 64;
   static constexpr size_t kShardsPerThread = 4;
-
-  bool Partitioned() const {
-    return options_.seminaive && options_.partition_deltas;
-  }
 
   // Fills `mo.atom_end` with the old/delta/all windows for the pass
   // whose delta atom is body index `delta`: atoms before it read
@@ -165,15 +121,15 @@ class ChaseRun {
       }
       changed = true;
     } else {
-      // Round 0: full evaluation of every rule. When partitioning, cap
-      // every atom at the round-start sizes so round 0 enumerates each
+      // Round 0: full evaluation of every rule. Semi-naive caps every
+      // atom at the round-start sizes so round 0 enumerates each
       // database match exactly once; anything derived here is picked up
       // as round 1's delta.
       prev_start = Snapshot();
       size_t before = instance_->TotalFacts();
       for (size_t r : rule_indices) {
         MatchOptions mo;
-        if (Partitioned()) {
+        if (options_.seminaive) {
           FillAtomEnds(program_.rules()[r], /*delta=*/-1, prev_start,
                        prev_start, &mo);
         }
@@ -206,11 +162,9 @@ class ChaseRun {
             MatchOptions mo;
             mo.delta_body_index = static_cast<int>(b);
             mo.delta_begin = begin;
-            if (Partitioned()) {
-              mo.delta_end = end;
-              FillAtomEnds(rule, static_cast<int>(b), prev_start, cur_start,
-                           &mo);
-            }
+            mo.delta_end = end;
+            FillAtomEnds(rule, static_cast<int>(b), prev_start, cur_start,
+                         &mo);
             TRIQ_RETURN_IF_ERROR(ApplyRule(r, mo));
           }
         } else {
@@ -242,68 +196,17 @@ class ChaseRun {
     return it == map.end() ? fallback : it->second;
   }
 
-  Status ApplyRule(size_t rule_index, const MatchOptions& match_options) {
-    const Rule& rule = program_.rules()[rule_index];
-    if (rule.IsConstraint()) return Status::OK();
-    if (deadline_set_ && DeadlineExpired()) return DeadlineError();
-    std::vector<Term> existentials = rule.ExistentialVariables();
-
-    // Materialize the matches before firing: a rule may write into a
-    // relation its own body reads (e.g. the triple -> triple rules of
-    // Section 2), and inserting during the index scan would invalidate
-    // the matcher's column and permutation views.
-    MatchOptions effective = match_options;
-    effective.greedy_atom_order = options_.greedy_atom_order;
-    effective.join_strategy = options_.join_strategy;
-    // Let the matcher's inner loops (notably the leapfrog gallop, which
-    // can run long without emitting a single match) trip the deadline
-    // themselves instead of relying on the every-1024-matches callback.
-    if (deadline_set_) effective.deadline = options_.deadline;
-
-    if (pool_ != nullptr) {
-      TRIQ_ASSIGN_OR_RETURN(
-          bool sharded,
-          TryApplyRuleSharded(rule_index, rule, existentials, effective));
-      if (sharded) return Status::OK();
-    }
-
-    // Sequential pass: stage every match (see StageMatch), then drain.
-    // The buffers are members so their capacity persists across passes.
-    const bool fast = existentials.empty() && !options_.track_provenance;
-    ResetStage(&seq_stage_);
-    Status deadline_status = Status::OK();
-    size_t since_check = 0;
-    TRIQ_RETURN_IF_ERROR(
-        MatchBody(rule, *instance_, effective, [&](const Match& match) {
-          if (deadline_set_ && (++since_check & 1023u) == 0 &&
-              DeadlineExpired()) {
-            deadline_status = DeadlineError();
-            return false;
-          }
-          StageMatch(rule, match, fast, /*hash_arity=*/-1, &seq_stage_);
-          return true;
-        }));
-    TRIQ_RETURN_IF_ERROR(deadline_status);
-    if (fast) {
-      if (stats_ != nullptr) stats_->rule_firings += seq_stage_.matches;
-      return DrainFastTuples(rule, seq_stage_.tuples.data(),
-                             seq_stage_.matches);
-    }
-    return DrainStagedMatches(rule_index, rule, existentials,
-                              seq_stage_.entries, seq_stage_.facts,
-                              seq_stage_.ends);
-  }
-
   /// One staging buffer set: everything a match produces is appended
-  /// here and committed after the pass. The sequential executor owns
-  /// one (seq_stage_); the sharded executor gives each shard its own,
-  /// filled thread-locally and merge-committed in shard order.
+  /// here and committed after the pass. A pass stages into the first
+  /// num_shards entries of stages_ — one unless the pass is sharded, in
+  /// which case each shard fills its own thread-locally and the commit
+  /// replays them in shard order.
   struct ShardStage {
     Status status = Status::OK();
     size_t matches = 0;
     std::vector<Term> tuples;  // fast path: materialized head tuples
-    // Batch path (single-head fast rules): per-tuple dedup hashes,
-    // precomputed off the commit thread.
+    // Batch path (sharded single-head fast rules): per-tuple dedup
+    // hashes, precomputed off the commit thread.
     std::vector<uint32_t> hashes;
     // General path: flat homomorphism + matched-fact staging.
     std::vector<std::pair<Term, Term>> entries;
@@ -326,9 +229,7 @@ class ChaseRun {
   /// head-arity terms per match, applied while the binding is hot —
   /// plus their dedup hashes when `hash_arity` >= 0 (the batch-commit
   /// path). General path: the full homomorphism and the matched body
-  /// facts in flat buffers, one offset record per match. The ONE place
-  /// that defines the staging layout, shared by the sequential pass and
-  /// every shard worker, so the two can never diverge.
+  /// facts in flat buffers, one offset record per match.
   static void StageMatch(const Rule& rule, const Match& match, bool fast,
                          int hash_arity, ShardStage* stage) {
     ++stage->matches;
@@ -355,105 +256,129 @@ class ChaseRun {
     }
   }
 
-  /// Sharded execution of one match pass: plans the depth-0 visit order,
-  /// splits it into contiguous shards, matches each shard on the pool
-  /// into per-shard staging, then commits shard-by-shard in order.
-  /// Because the concatenated shard streams equal the unsharded match
-  /// stream (the DriverPlan contract) and commits replay on this thread,
-  /// the result is bit-identical to the sequential pass. Returns false
-  /// (without matching) when the pass is too small to shard.
-  Result<bool> TryApplyRuleSharded(size_t rule_index, const Rule& rule,
-                                   const std::vector<Term>& existentials,
-                                   const MatchOptions& effective) {
-    DriverPlan plan = PlanMatchDriver(rule, *instance_, effective);
-    if (plan.body_index < 0) return false;
-    size_t total = plan.order.size();
-    size_t max_shards = (pool_->num_workers() + 1) * kShardsPerThread;
-    size_t num_shards = std::min(max_shards, total / kMinDriverPerShard);
-    if (num_shards < 2) return false;
+  /// One match pass of one rule: match (sharded across the pool when
+  /// the pass is large enough), then commit in the single-threaded
+  /// match order.
+  Status ApplyRule(size_t rule_index, const MatchOptions& match_options) {
+    const Rule& rule = program_.rules()[rule_index];
+    if (rule.IsConstraint()) return Status::OK();
+    if (deadline_set_ && DeadlineExpired()) return DeadlineError();
+    std::vector<Term> existentials = rule.ExistentialVariables();
 
-    // Freeze exactly the lazy sorted indexes this pass's join plan can
-    // probe; from here to the end of the fan-out, matching is read-only
-    // on the instance. (Freezing whole relations instead would eagerly
-    // maintain permutations the join never reads — a full-relation
-    // merge per pass on linear rules.)
-    for (const auto& [pred, pos] : plan.probe_index_pairs) {
+    // Materialize the matches before firing: a rule may write into a
+    // relation its own body reads (e.g. the triple -> triple rules of
+    // Section 2), and inserting during the index scan would invalidate
+    // the matcher's column and permutation views.
+    MatchOptions effective = match_options;
+    effective.join_strategy = options_.join_strategy;
+    // Let the matcher's inner loops (notably the leapfrog gallop, which
+    // can run long without emitting a single match) trip the deadline
+    // themselves instead of relying on the every-1024-matches callback.
+    if (deadline_set_) effective.deadline = options_.deadline;
+
+    const bool fast = existentials.empty() && !options_.track_provenance;
+    DriverPlan plan;
+    const size_t num_shards =
+        pool_ == nullptr ? 1 : PlanShards(rule, effective, &plan);
+    // Sharded single-head fast rules take the fully parallel commit:
+    // workers precompute dedup hashes and BatchInserter runs the probe
+    // phases across the pool.
+    const bool batch = num_shards > 1 && fast && rule.head.size() == 1;
+    const int hash_arity =
+        batch ? static_cast<int>(rule.head[0].args.size()) : -1;
+    // Members, reset rather than reconstructed, so buffer capacity
+    // persists across passes.
+    if (stages_.size() < num_shards) stages_.resize(num_shards);
+    if (num_shards == 1) {
+      MatchInto(rule, effective, fast, hash_arity, &stages_[0]);
+    } else {
+      pool_->ParallelFor(num_shards, [&](size_t s) {
+        size_t total = plan.order.size();
+        size_t begin = total * s / num_shards;
+        size_t end = total * (s + 1) / num_shards;
+        MatchOptions mo = effective;
+        mo.driver_order = plan.order.data() + begin;
+        mo.driver_order_size = end - begin;
+        mo.driver_sorted = plan.sorted;
+        mo.driver_body_index = plan.body_index;
+        MatchInto(rule, mo, fast, hash_arity, &stages_[s]);
+      });
+    }
+
+    // stages_ may be longer than this pass's shard count: only the
+    // first num_shards entries were reset and filled.
+    size_t staged_matches = 0;
+    for (size_t s = 0; s < num_shards; ++s) {
+      TRIQ_RETURN_IF_ERROR(stages_[s].status);
+      staged_matches += stages_[s].matches;
+    }
+    if (num_shards > 1 && stats_ != nullptr) ++stats_->sharded_passes;
+    if (fast && stats_ != nullptr) stats_->rule_firings += staged_matches;
+
+    // Deterministic commit, shard order = single-threaded order.
+    if (batch && total_facts_ + staged_matches <= options_.max_facts) {
+      return CommitBatch(rule.head[0], static_cast<uint32_t>(hash_arity),
+                         num_shards);
+    }
+    for (size_t s = 0; s < num_shards; ++s) {
+      const ShardStage& stage = stages_[s];
+      TRIQ_RETURN_IF_ERROR(
+          fast ? DrainFastTuples(rule, stage.tuples.data(), stage.matches)
+               : DrainStagedMatches(rule_index, rule, existentials, stage));
+    }
+    return Status::OK();
+  }
+
+  /// Plans a pooled pass's shards: splits PlanMatchDriver's depth-0
+  /// visit order into contiguous slices whose concatenated match
+  /// streams equal the unsharded stream (the DriverPlan contract).
+  /// Returns 1 when the pass is too small to shard; otherwise freezes
+  /// exactly the lazy sorted indexes the join plan can probe, so from
+  /// there to the end of the fan-out matching is read-only on the
+  /// instance. (Freezing whole relations instead would eagerly maintain
+  /// permutations the join never reads — a full-relation merge per pass
+  /// on linear rules.)
+  size_t PlanShards(const Rule& rule, const MatchOptions& options,
+                    DriverPlan* plan) {
+    *plan = PlanMatchDriver(rule, *instance_, options);
+    if (plan->body_index < 0) return 1;
+    size_t max_shards = (pool_->num_workers() + 1) * kShardsPerThread;
+    size_t num_shards =
+        std::min(max_shards, plan->order.size() / kMinDriverPerShard);
+    if (num_shards < 2) return 1;
+    for (const auto& [pred, pos] : plan->probe_index_pairs) {
       const Relation* rel = instance_->Find(pred);
       if (rel != nullptr && pos < rel->arity()) rel->FreezeIndex(pos);
     }
-    for (const auto& [pred, key] : plan.lex_index_pairs) {
+    for (const auto& [pred, key] : plan->lex_index_pairs) {
       const Relation* rel = instance_->Find(pred);
       if (rel != nullptr) rel->FreezeLex(key);
     }
+    return num_shards;
+  }
 
-    const bool fast = existentials.empty() && !options_.track_provenance;
-    // Single-head fast rules take the fully parallel commit: workers
-    // precompute dedup hashes and BatchInserter runs the probe phases
-    // across the pool.
-    const bool batch = fast && rule.head.size() == 1;
-    const uint32_t head_arity =
-        batch ? static_cast<uint32_t>(rule.head[0].args.size()) : 0;
-    // Reuse the member stage pool across passes (reset, not
-    // reconstructed) so shard staging keeps its buffer capacity, like
-    // the sequential path's seq_stage_.
-    if (shard_stages_.size() < num_shards) shard_stages_.resize(num_shards);
-    std::vector<ShardStage>& stages = shard_stages_;
-    for (size_t s = 0; s < num_shards; ++s) ResetStage(&stages[s]);
-    pool_->ParallelFor(num_shards, [&](size_t s) {
-      ShardStage& stage = stages[s];
-      size_t begin = total * s / num_shards;
-      size_t end = total * (s + 1) / num_shards;
-      MatchOptions mo = effective;
-      mo.driver_order = plan.order.data() + begin;
-      mo.driver_order_size = end - begin;
-      mo.driver_sorted = plan.sorted;
-      mo.driver_body_index = plan.body_index;
-      Status deadline_status = Status::OK();
-      size_t since_check = 0;
-      stage.status =
-          MatchBody(rule, *instance_, mo, [&](const Match& match) {
-            if (deadline_set_ && (++since_check & 1023u) == 0 &&
-                DeadlineExpired()) {
-              deadline_status = DeadlineError();
-              return false;
-            }
-            StageMatch(rule, match, fast,
-                       batch ? static_cast<int>(head_arity) : -1, &stage);
-            return true;
-          });
-      // An early callback stop makes MatchBody return OK; keep the
-      // deadline error instead.
-      if (stage.status.ok()) stage.status = deadline_status;
-    });
-    // The pool may be longer than this pass's shard count: only the
-    // first num_shards entries were reset and filled.
-    for (size_t s = 0; s < num_shards; ++s) {
-      TRIQ_RETURN_IF_ERROR(stages[s].status);
-    }
-    if (stats_ != nullptr) ++stats_->sharded_passes;
-
-    size_t staged_matches = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      staged_matches += stages[s].matches;
-    }
-    if (fast && stats_ != nullptr) stats_->rule_firings += staged_matches;
-
-    // Deterministic merge-commit, shard order = single-threaded order.
-    if (batch && total_facts_ + staged_matches <= options_.max_facts) {
-      return CommitBatch(rule.head[0], head_arity, stages.data(), num_shards);
-    }
-    for (size_t s = 0; s < num_shards; ++s) {
-      const ShardStage& stage = stages[s];
-      if (fast) {
-        TRIQ_RETURN_IF_ERROR(
-            DrainFastTuples(rule, stage.tuples.data(), stage.matches));
-      } else {
-        TRIQ_RETURN_IF_ERROR(DrainStagedMatches(rule_index, rule,
-                                                existentials, stage.entries,
-                                                stage.facts, stage.ends));
-      }
-    }
-    return true;
+  /// Matches one shard (or the whole unsharded pass) into `stage`: the
+  /// one match-and-stage callback, polling the deadline every 1024
+  /// matches. Safe to run concurrently for distinct stages once
+  /// PlanShards has frozen the probed indexes.
+  void MatchInto(const Rule& rule, const MatchOptions& options, bool fast,
+                 int hash_arity, ShardStage* stage) const {
+    ResetStage(stage);
+    Status deadline_status = Status::OK();
+    size_t since_check = 0;
+    stage->status =
+        MatchBody(rule, *instance_, options, [&](const Match& match) {
+          if (deadline_set_ && (++since_check & 1023u) == 0 &&
+              DeadlineExpired()) {
+            deadline_status = DeadlineError();
+            return false;
+          }
+          StageMatch(rule, match, fast, hash_arity, stage);
+          return true;
+        });
+    // An early callback stop makes MatchBody return OK; keep the
+    // deadline error instead.
+    if (stage->status.ok()) stage->status = deadline_status;
   }
 
   /// Parallel merge-commit of a single-head pass's staged tuples: the
@@ -461,8 +386,8 @@ class ChaseRun {
   /// append (which fixes the tuple indexes to exactly the sequential
   /// ones) stays on this thread. Only called when even an all-new batch
   /// cannot exceed max_facts, so the cap needs no per-tuple check.
-  Result<bool> CommitBatch(const Atom& head, uint32_t head_arity,
-                           const ShardStage* stages, size_t num_shards) {
+  Status CommitBatch(const Atom& head, uint32_t head_arity,
+                     size_t num_shards) {
     Relation& rel = instance_->GetOrCreate(head.predicate, head_arity);
     if (rel.arity() != head_arity) {
       return Status::InvalidArgument(
@@ -472,8 +397,8 @@ class ChaseRun {
     }
     BatchInserter batch(&rel);
     for (size_t s = 0; s < num_shards; ++s) {
-      batch.AddShard(stages[s].tuples.data(), stages[s].hashes.data(),
-                     static_cast<uint32_t>(stages[s].matches));
+      batch.AddShard(stages_[s].tuples.data(), stages_[s].hashes.data(),
+                     static_cast<uint32_t>(stages_[s].matches));
     }
     // The pool also covers the rehash at capacity doublings: Prepare
     // hands it to Relation::GrowSlots, which counting-sorts the live
@@ -487,12 +412,11 @@ class ChaseRun {
                        [&](size_t p) { batch.FinalizeSlots(p); });
     total_facts_ += winners;
     if (stats_ != nullptr) stats_->facts_derived += winners;
-    return true;
+    return Status::OK();
   }
 
   /// Inserts `matches` staged head-tuple groups laid out back-to-back
-  /// at `next` (the fast-path commit, shared by the sequential and
-  /// sharded executors).
+  /// at `next` (the fast-path commit of one stage).
   Status DrainFastTuples(const Rule& rule, const Term* next,
                          size_t matches) {
     for (size_t m = 0; m < matches; ++m) {
@@ -518,20 +442,18 @@ class ChaseRun {
   }
 
   /// Fires every staged match of the general path in staging order (the
-  /// general-path commit, shared by the sequential and sharded
-  /// executors).
+  /// general-path commit of one stage).
   Status DrainStagedMatches(size_t rule_index, const Rule& rule,
                             const std::vector<Term>& existentials,
-                            const std::vector<std::pair<Term, Term>>& entries,
-                            const std::vector<FactRef>& facts,
-                            const std::vector<StagedEnd>& ends) {
+                            const ShardStage& stage) {
     size_t entry_begin = 0;
     size_t fact_begin = 0;
-    for (const StagedEnd& staged : ends) {
-      scratch_binding_.Assign(entries.data() + entry_begin,
+    for (const StagedEnd& staged : stage.ends) {
+      scratch_binding_.Assign(stage.entries.data() + entry_begin,
                               staged.entries - entry_begin);
       TRIQ_RETURN_IF_ERROR(Fire(rule_index, rule, existentials,
-                                scratch_binding_, facts.data() + fact_begin,
+                                scratch_binding_,
+                                stage.facts.data() + fact_begin,
                                 staged.facts - fact_begin));
       entry_begin = staged.entries;
       fact_begin = staged.facts;
@@ -642,11 +564,8 @@ class ChaseRun {
   std::unique_ptr<common::ThreadPool> pool_;
   std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
 
-  // Staging for the sequential ApplyRule path; the sharded path stages
-  // per shard from the pool below. Members so buffer capacity persists
-  // across passes.
-  ShardStage seq_stage_;
-  std::vector<ShardStage> shard_stages_;
+  // Per-shard match staging (entry 0 alone for an unsharded pass).
+  std::vector<ShardStage> stages_;
   Binding scratch_binding_;
   Tuple scratch_tuple_;
 };
@@ -673,17 +592,9 @@ Status ValidateChaseOptions(const ChaseOptions& options) {
         "ChaseOptions::mode holds no declared enumerator");
   }
   if (options.join_strategy != JoinStrategy::kAuto &&
-      options.join_strategy != JoinStrategy::kHash &&
-      options.join_strategy != JoinStrategy::kMerge &&
-      options.join_strategy != JoinStrategy::kLeapfrog) {
+      options.join_strategy != JoinStrategy::kBinary) {
     return Status::InvalidArgument(
         "ChaseOptions::join_strategy holds no declared enumerator");
-  }
-  if (options.partition_deltas && !options.seminaive) {
-    return Status::InvalidArgument(
-        "ChaseOptions::partition_deltas partitions the semi-naive "
-        "deltas and cannot be combined with seminaive = false; clear "
-        "both flags for the naive fixpoint");
   }
   return Status::OK();
 }
@@ -705,7 +616,6 @@ std::string ExplainProgramPlans(const datalog::Program& program,
                                 const Instance& instance,
                                 const ChaseOptions& options) {
   MatchOptions mo;
-  mo.greedy_atom_order = options.greedy_atom_order;
   mo.join_strategy = options.join_strategy;
   std::string out;
   size_t i = 0;

@@ -30,46 +30,23 @@ struct ChaseOptions {
   enum class Mode { kRestricted, kOblivious };
   Mode mode = Mode::kRestricted;
 
-  /// Semi-naive (delta-driven) evaluation; disable for the naive
-  /// fixpoint used as an ablation baseline (bench E13).
+  /// Semi-naive (delta-driven) evaluation with strict old/delta/all
+  /// partitioning: in the pass whose delta atom is body atom b, atoms
+  /// before b read only pre-round facts and atoms after b read facts up
+  /// to the round-start snapshot, so every match is enumerated in
+  /// exactly one pass — rules with repeated body predicates
+  /// (tc(X,Y), tc(Y,Z)) never re-derive the same match once per pass.
+  /// Disable for the naive fixpoint, the equivalence tests' oracle.
   bool seminaive = true;
-
-  /// Strict old/delta/all partitioning of the semi-naive passes: in the
-  /// pass whose delta atom is body atom b, atoms before b read only
-  /// pre-round facts and atoms after b read facts up to the round-start
-  /// snapshot, so every match is enumerated in exactly one pass — rules
-  /// with repeated body predicates (tc(X,Y), tc(Y,Z)) stop re-deriving
-  /// the same match once per pass. Disable for the legacy delta-only
-  /// filtering (ablation / differential testing). Partitioning is a
-  /// refinement of the semi-naive deltas, so `partition_deltas` without
-  /// `seminaive` is incoherent — ValidateChaseOptions rejects it; naive
-  /// ablations must clear both flags.
-  bool partition_deltas = true;
 
   /// Record rule/body-fact provenance for proof-tree extraction (Fig 1).
   bool track_provenance = false;
 
-  /// Greedy most-bound-first join ordering inside rule bodies; disable
-  /// for the ablation baseline (bench E13).
-  bool greedy_atom_order = true;
-
-  /// Access-path selection for every body-matching pass (see
-  /// JoinStrategy in match.h): kAuto lets the planner choose —
-  /// leapfrog triejoin when ≥3 atoms leave ≥2 residual atoms sharing a
-  /// join variable, merge join on sorted column permutations when two
-  /// atoms share a join variable, posting probes as the fallback.
-  /// kHash forces the posting-probe baseline, kMerge forces the merge
-  /// path wherever structurally available, kLeapfrog forces the
-  /// leapfrog residual wherever ≥1 residual atom exists. Orthogonal to
-  /// `partition_deltas` — the strategy × partitioning combinations are
-  /// the ablation grid for the join executor.
+  /// Join order and access paths of every body-matching pass (see
+  /// JoinStrategy in match.h): kAuto lets the planner choose per rule
+  /// (cost-ordered join; leapfrog, merge or posting probes); kBinary is
+  /// the written-order binary plan. Both fix the same instance.
   JoinStrategy join_strategy = JoinStrategy::kAuto;
-
-  /// Record the join plan chosen for every rule (full-evaluation
-  /// windows, before round 0) into ChaseStats::rule_plans — the
-  /// `--explain` surface. Off by default: rendering plans costs string
-  /// work per rule and eagerly builds the planner's sorted statistics.
-  bool collect_plans = false;
 
   /// Number of threads the chase may use for its match passes. 1 (the
   /// default) is the unsharded single-threaded executor; N > 1 spawns a
@@ -85,21 +62,6 @@ struct ChaseOptions {
   /// counter except the diagnostic `sharded_passes` are bit-identical
   /// for every value of num_threads.
   size_t num_threads = 1;
-
-  /// Order each stratum's rule passes by the SCC condensation of the
-  /// positive reliance graph (analysis::RelianceGraph): saturate each
-  /// group of mutually recursive rules to its fixpoint before any group
-  /// that relies on it runs, instead of sweeping every rule of the
-  /// stratum each round (VLog's seminaiver_ordered schedule). Applied
-  /// only to existential-free strata under partitioned semi-naive
-  /// evaluation without provenance — there the final fact set,
-  /// `rule_firings`, `facts_derived` and null ids are provably
-  /// schedule-independent (each match is enumerated exactly once against
-  /// the same fixpoint); strata with existential rules fall back to the
-  /// joint schedule because restricted-chase firing decisions are order-
-  /// sensitive. Storage (tuple) order and `rounds` do change with the
-  /// schedule. Default off.
-  bool scc_rule_order = false;
 
   /// Safety caps. Exceeding max_facts aborts with ResourceExhausted;
   /// exceeding max_null_depth stops deriving deeper nulls and marks
@@ -126,28 +88,18 @@ struct ChaseStats {
   size_t sharded_passes = 0;
   /// Non-empty strata of the minimal stratification this run scheduled.
   size_t strata = 0;
-  /// Rule groups saturated: equals `strata` under the joint schedule;
-  /// under scc_rule_order, the reliance-graph condensation groups.
-  size_t rule_groups = 0;
   /// Static termination verdict of the program
   /// (analysis::AnalyzeTermination), reported for ops introspection;
   /// kUnknown does NOT stop the run — the caps above do.
   analysis::Termination termination = analysis::Termination::kUnknown;
   bool truncated = false;
-  /// One rendered join plan per program rule (ExplainMatchPlan against
-  /// the initial instance, body rendered + join order + access paths +
-  /// cardinality estimates). Filled only when
-  /// ChaseOptions::collect_plans is set; constraints included.
-  std::vector<std::string> rule_plans;
 };
 
 /// Checks that `options` describes a runnable configuration: num_threads
-/// >= 1, non-zero safety caps, enum fields holding declared enumerators
-/// (not stray casts), and a coherent seminaive/partition_deltas pair
-/// (partitioning refines the semi-naive deltas, so it cannot be combined
-/// with the naive fixpoint). Returns InvalidArgument naming the first
-/// offending field. RunChase/ResumeChase call this up front instead of
-/// silently proceeding.
+/// >= 1, non-zero safety caps, and enum fields holding declared
+/// enumerators (not stray casts). Returns InvalidArgument naming the
+/// first offending field. RunChase/ResumeChase call this up front
+/// instead of silently proceeding.
 Status ValidateChaseOptions(const ChaseOptions& options);
 
 /// Runs the stratified chase of Section 3.2: computes S_0,...,S_ℓ by
@@ -188,8 +140,8 @@ Status ResumeChase(const datalog::Program& program, Instance* instance,
 /// included) against the current `instance`, one block per rule: the
 /// rule itself, then ExplainMatchPlan's order / access-path /
 /// estimated-cardinality lines. The plans shown are the ones a full
-/// (round-0) evaluation pass would execute with `options`'s strategy
-/// knobs — delta passes re-plan per window, so per-round plans can
+/// (round-0) evaluation pass would execute with `options`'s join
+/// strategy — delta passes re-plan per window, so per-round plans can
 /// differ; this is the `--explain` / EXPLAIN surface, not a trace.
 /// Builds lazy sorted statistics as a side effect (same as planning).
 std::string ExplainProgramPlans(const datalog::Program& program,

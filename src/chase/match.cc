@@ -26,15 +26,15 @@ constexpr size_t kAutoMergeMinWindow = 32;
 /// The join order and each atom's access path are planned once up
 /// front, and both depend only on *which* variables are bound at each
 /// depth plus per-relation statistics — never on bound values — so the
-/// plan is identical across all branches of the search, across join
-/// strategies, and across thread counts. The order is cost-based
-/// greedy: the delta atom is pinned first (its window drives the
-/// pass), then each depth takes the atom with the smallest estimated
-/// match count given the variables bound so far — window size divided
-/// by the estimated distinct count (Relation::EstimatedDistinct) of
-/// every bound position. On top of the order the planner picks access
-/// paths (see JoinStrategy): a leapfrog-triejoin residual when the
-/// strategy calls for it (the driver enumerates as usual; the
+/// plan is identical across all branches of the search and across
+/// thread counts. The delta atom is pinned first (its window drives
+/// the pass); under kAuto each later depth takes the atom with the
+/// smallest estimated match count given the variables bound so far —
+/// window size divided by the estimated distinct count
+/// (Relation::EstimatedDistinct) of every bound position — while
+/// kBinary keeps the written order. On top of the order the planner
+/// picks access paths (see JoinStrategy): a leapfrog-triejoin residual
+/// when kAuto calls for it (the driver enumerates as usual; the
 /// remaining atoms are joined variable-at-a-time over lexicographic
 /// permutations with galloping seeks), else a depth-1 merge cursor
 /// when the first two atoms share a variable, with per-binding posting
@@ -107,11 +107,7 @@ class Matcher {
       return out;
     }
 
-    bool want_sorted = plan.sorted_driver &&
-                       (options_.join_strategy == JoinStrategy::kMerge ||
-                        end - begin >= kAutoMergeMinWindow) &&
-                       SetUpCursor();
-    if (want_sorted) {
+    if (SortedDriverReady(end - begin)) {
       rel->SortWindow(plan.driver_pos, static_cast<uint32_t>(begin),
                       static_cast<uint32_t>(end), &out.order);
       out.sorted = true;
@@ -125,27 +121,12 @@ class Matcher {
     return out;
   }
 
-  /// Replays the join plan's boundness progression (value-independent,
-  /// exactly as PlanJoin saw it) and records every (predicate, position)
-  /// whose sorted permutation a depth >= 1 step may read: posting probes
-  /// on positions bound by then, and the depth-1 merge cursor. Atoms
-  /// fully bound at their depth resolve through the dedup table
-  /// (FindIndex), which needs no permutation — unless the merge cursor
-  /// reads them anyway.
+  /// Records every (predicate, position) whose sorted permutation a
+  /// depth >= 1 step may read: posting probes on positions bound by
+  /// then, and the depth-1 merge cursor. Atoms fully bound at their
+  /// depth resolve through the dedup table (FindIndex), which needs no
+  /// permutation — unless the merge cursor reads them anyway.
   void CollectProbePairs(DriverPlan* out) const {
-    std::vector<Term> bound;
-    if (options_.seed != nullptr) {
-      for (const auto& [var, val] : options_.seed->entries()) {
-        bound.push_back(var);
-      }
-    }
-    auto is_bound = [&](Term t) {
-      return !t.IsVariable() ||
-             std::find(bound.begin(), bound.end(), t) != bound.end();
-    };
-    for (Term t : rule_.body[positive_[plan_[0].slot]].args) {
-      if (t.IsVariable() && !is_bound(t)) bound.push_back(t);
-    }
     if (lftj_) {
       // Below the driver the leapfrog residual reads lex permutations;
       // a single-position key aliases the sorted permutation, so it is
@@ -165,12 +146,12 @@ class Matcher {
       const Atom& atom = rule_.body[positive_[plan_[depth].slot]];
       size_t num_bound = 0;
       for (Term t : atom.args) {
-        if (is_bound(t)) ++num_bound;
+        if (BoundAt(depth, t)) ++num_bound;
       }
       bool fully_ground = num_bound == atom.args.size() && !atom.args.empty();
       if (!fully_ground) {
         for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-          if (is_bound(atom.args[pos])) {
+          if (BoundAt(depth, atom.args[pos])) {
             out->probe_index_pairs.emplace_back(atom.predicate, pos);
           }
         }
@@ -179,15 +160,12 @@ class Matcher {
         out->probe_index_pairs.emplace_back(atom.predicate,
                                             plan_[depth].cursor_pos);
       }
-      for (Term t : atom.args) {
-        if (t.IsVariable() && !is_bound(t)) bound.push_back(t);
-      }
     }
   }
 
   /// Renders the planned join: strategy, then one line per atom in join
   /// order with its access path and the estimate the planner ranked it
-  /// by (replaying the same boundness progression PlanJoin saw).
+  /// by (under the boundness PlanJoin recorded for its depth).
   std::string Explain() {
     std::string out = "  strategy: ";
     if (lftj_) {
@@ -197,33 +175,15 @@ class Matcher {
     } else {
       out += "hash";
     }
-    switch (options_.join_strategy) {
-      case JoinStrategy::kAuto:
-        out += " (auto)";
-        break;
-      case JoinStrategy::kHash:
-      case JoinStrategy::kMerge:
-      case JoinStrategy::kLeapfrog:
-        out += " (forced)";
-        break;
-    }
-    out += "\n";
-    std::vector<Term> bound;
-    if (options_.seed != nullptr) {
-      for (const auto& [var, val] : options_.seed->entries()) {
-        bound.push_back(var);
-      }
-    }
-    auto is_bound = [&](Term t) {
-      return !t.IsVariable() ||
-             std::find(bound.begin(), bound.end(), t) != bound.end();
-    };
+    out += options_.join_strategy == JoinStrategy::kBinary ? " (binary)\n"
+                                                            : " (auto)\n";
     for (size_t depth = 0; depth < plan_.size(); ++depth) {
       int slot = plan_[depth].slot;
       const Atom& atom = rule_.body[positive_[slot]];
       size_t num_bound = 0;
       size_t size = 0;
-      double est = EstimateAtom(slot, is_bound, &num_bound, &size);
+      double est = EstimateAtom(
+          slot, [&](Term t) { return BoundAt(depth, t); }, &num_bound, &size);
       std::string access;
       if (depth == 0) {
         access = positive_[slot] == options_.delta_body_index
@@ -263,9 +223,6 @@ class Matcher {
              AtomToString(atom, instance_.dict()) + "  " + access +
              "  rows~" + est_buf + " (window " + std::to_string(size) +
              ")\n";
-      for (Term t : atom.args) {
-        if (t.IsVariable() && !is_bound(t)) bound.push_back(t);
-      }
     }
     return out;
   }
@@ -286,35 +243,34 @@ class Matcher {
     uint32_t cursor_pos = 0;
   };
 
-  /// Computes the join order (hoisting the greedy most-bound-first
-  /// heuristic out of the recursion) and assigns access paths.
+  /// Computes the join order (hoisting the most-bound-first heuristic
+  /// out of the recursion), records which variables each depth sees
+  /// bound, and assigns access paths.
   void PlanJoin() {
     plan_.resize(positive_.size());
+    bound_before_.assign(positive_.size() + 1, 0);
     std::vector<bool> used(positive_.size(), false);
-    std::vector<Term> seed_vars;
     if (options_.seed != nullptr) {
       for (const auto& [var, val] : options_.seed->entries()) {
-        seed_vars.push_back(var);
+        bind_order_.push_back(var);
       }
     }
-    std::vector<Term> bound = seed_vars;  // variables bound so far
-    auto is_bound = [&](Term t) {
-      return !t.IsVariable() ||
-             std::find(bound.begin(), bound.end(), t) != bound.end();
-    };
     for (size_t depth = 0; depth < positive_.size(); ++depth) {
-      int slot = PickNextAtom(used, is_bound);
+      bound_before_[depth] = bind_order_.size();
+      int slot = PickNextAtom(used, [&](Term t) { return BoundAt(depth, t); });
       plan_[depth].slot = slot;
       used[slot] = true;
       for (Term t : rule_.body[positive_[slot]].args) {
-        if (t.IsVariable() && !is_bound(t)) bound.push_back(t);
+        if (t.IsVariable() && std::find(bind_order_.begin(), bind_order_.end(),
+                                        t) == bind_order_.end()) {
+          bind_order_.push_back(t);
+        }
       }
     }
-    if (options_.join_strategy == JoinStrategy::kHash || plan_.size() < 2) {
-      return;
-    }
-    if (ShouldLeapfrog(seed_vars)) {
-      PlanLeapfrog(seed_vars);
+    bound_before_[positive_.size()] = bind_order_.size();
+    if (plan_.size() < 2) return;
+    if (ShouldLeapfrog()) {
+      PlanLeapfrog();
       return;
     }
     // Merge join needs a driver that full-scans its window (no bound
@@ -324,11 +280,7 @@ class Matcher {
     // its bind order follows the sorted column.
     const Atom& a0 = rule_.body[positive_[plan_[0].slot]];
     for (Term t : a0.args) {
-      if (!t.IsVariable() ||
-          std::find(seed_vars.begin(), seed_vars.end(), t) !=
-              seed_vars.end()) {
-        return;
-      }
+      if (BoundAt(0, t)) return;
     }
     const Atom& a1 = rule_.body[positive_[plan_[1].slot]];
     for (uint32_t p = 0; p < a0.args.size(); ++p) {
@@ -347,6 +299,28 @@ class Matcher {
         return;
       }
     }
+  }
+
+  /// Whether `t` is a constant or a variable bound before the atom at
+  /// `depth` is enumerated (seed variables, then every variable of the
+  /// atoms at shallower depths) — PlanJoin's value-independent record,
+  /// which every reader of the plan shares.
+  bool BoundAt(size_t depth, Term t) const {
+    if (!t.IsVariable()) return true;
+    auto end = bind_order_.begin() + bound_before_[depth];
+    return std::find(bind_order_.begin(), end, t) != end;
+  }
+
+  /// Whether the depth-0 driver enumerates its `window`-tuple scan in
+  /// value order, feeding the depth-1 merge cursor. kBinary sorts
+  /// whenever the plan has a merge cursor; kAuto only once the window
+  /// amortizes the sort. Opens the cursor as a side effect; false when
+  /// the second atom has no usable relation.
+  bool SortedDriverReady(size_t window) {
+    return plan_[0].sorted_driver &&
+           (options_.join_strategy == JoinStrategy::kBinary ||
+            window >= kAutoMergeMinWindow) &&
+           SetUpCursor();
   }
 
   /// Estimated number of matching tuples for slot `i` per intermediate
@@ -388,21 +362,21 @@ class Matcher {
     return est;
   }
 
-  // Cost-based greedy ordering: the delta atom is pinned first (its
-  // window is the pass's driver), then each depth takes the unprocessed
-  // atom with the smallest estimated match count under the variables
-  // bound so far. Ties break deterministically: more bound positions,
-  // then smaller window, then lower slot index — never a value or an
-  // address.
+  // The delta atom is pinned first (its window is the pass's driver).
+  // kBinary then takes the atoms in written order; kAuto orders by cost:
+  // each depth takes the unprocessed atom with the smallest estimated
+  // match count under the variables bound so far. Ties break
+  // deterministically: more bound positions, then smaller window, then
+  // lower slot index — never a value or an address.
   template <typename BoundFn>
   int PickNextAtom(const std::vector<bool>& used,
                    const BoundFn& is_bound) const {
-    if (!options_.greedy_atom_order) {
-      for (size_t i = 0; i < positive_.size(); ++i) {
-        if (!used[i] && positive_[i] == options_.delta_body_index) {
-          return static_cast<int>(i);
-        }
+    for (size_t i = 0; i < positive_.size(); ++i) {
+      if (!used[i] && positive_[i] == options_.delta_body_index) {
+        return static_cast<int>(i);
       }
+    }
+    if (options_.join_strategy == JoinStrategy::kBinary) {
       for (size_t i = 0; i < positive_.size(); ++i) {
         if (!used[i]) return static_cast<int>(i);
       }
@@ -413,7 +387,6 @@ class Matcher {
     size_t best_size = 0;
     for (size_t i = 0; i < positive_.size(); ++i) {
       if (used[i]) continue;
-      if (positive_[i] == options_.delta_body_index) return static_cast<int>(i);
       size_t num_bound = 0;
       size_t size = 0;
       double est =
@@ -433,30 +406,17 @@ class Matcher {
   }
 
   /// Whether the plan runs the residual (every atom below the driver)
-  /// as one leapfrog triejoin. kLeapfrog forces it whenever there is a
-  /// residual; kAuto requires ≥3 positive atoms and ≥2 residual atoms
-  /// sharing a variable the driver leaves unbound — the shape where a
-  /// binary plan materializes an intermediate result the multi-way
-  /// intersection never builds. Value-independent.
-  bool ShouldLeapfrog(const std::vector<Term>& seed_vars) const {
-    if (options_.join_strategy == JoinStrategy::kLeapfrog) return true;
+  /// as one leapfrog triejoin: kAuto only, with ≥3 positive atoms and
+  /// ≥2 residual atoms sharing a variable the driver leaves unbound —
+  /// the shape where a binary plan materializes an intermediate result
+  /// the multi-way intersection never builds. Value-independent.
+  bool ShouldLeapfrog() const {
     if (options_.join_strategy != JoinStrategy::kAuto) return false;
     if (plan_.size() < 3) return false;
-    std::vector<Term> bound = seed_vars;
-    for (Term t : rule_.body[positive_[plan_[0].slot]].args) {
-      if (t.IsVariable() &&
-          std::find(bound.begin(), bound.end(), t) == bound.end()) {
-        bound.push_back(t);
-      }
-    }
-    auto is_free = [&](Term t) {
-      return t.IsVariable() &&
-             std::find(bound.begin(), bound.end(), t) == bound.end();
-    };
     for (size_t d1 = 1; d1 < plan_.size(); ++d1) {
       const Atom& a1 = rule_.body[positive_[plan_[d1].slot]];
       for (Term v : a1.args) {
-        if (!is_free(v)) continue;
+        if (BoundAt(1, v)) continue;
         for (size_t d2 = d1 + 1; d2 < plan_.size(); ++d2) {
           const Atom& a2 = rule_.body[positive_[plan_[d2].slot]];
           for (Term t : a2.args) {
@@ -477,19 +437,9 @@ class Matcher {
   /// value-independent; the lex permutations are pre-built here (plan
   /// time runs on the scheduling thread) and re-frozen via
   /// DriverPlan::lex_index_pairs before parallel fan-out.
-  void PlanLeapfrog(const std::vector<Term>& seed_vars) {
+  void PlanLeapfrog() {
     lftj_ = true;
-    std::vector<Term> bound = seed_vars;
-    for (Term t : rule_.body[positive_[plan_[0].slot]].args) {
-      if (t.IsVariable() &&
-          std::find(bound.begin(), bound.end(), t) == bound.end()) {
-        bound.push_back(t);
-      }
-    }
-    auto is_bound = [&](Term t) {
-      return !t.IsVariable() ||
-             std::find(bound.begin(), bound.end(), t) != bound.end();
-    };
+    auto is_bound = [&](Term t) { return BoundAt(1, t); };
     std::vector<Term> order;  // leapfrog variables, first occurrence
     for (size_t depth = 1; depth < plan_.size(); ++depth) {
       for (Term t : rule_.body[positive_[plan_[depth].slot]].args) {
@@ -885,12 +835,7 @@ class Matcher {
 
     // No bound position: full window scan. At depth 0 the planner may
     // have asked for value order to drive a merge cursor at depth 1.
-    bool want_sorted =
-        depth == 0 && plan.sorted_driver &&
-        (options_.join_strategy == JoinStrategy::kMerge ||
-         end - begin >= kAutoMergeMinWindow);
-    if (want_sorted && !SetUpCursor()) want_sorted = false;
-    if (want_sorted) {
+    if (depth == 0 && SortedDriverReady(end - begin)) {
       rel->SortWindow(plan.driver_pos, static_cast<uint32_t>(begin),
                       static_cast<uint32_t>(end), &window_perm_);
       merge_active_ = true;
@@ -952,6 +897,8 @@ class Matcher {
   std::vector<int> positive_;        // body indices of positive atoms
   std::vector<const Atom*> negative_;
   std::vector<DepthPlan> plan_;      // depth -> slot + access path
+  std::vector<Term> bind_order_;     // variables in plan binding order
+  std::vector<size_t> bound_before_;  // depth -> bound prefix of bind_order_
   std::vector<FactRef> refs_;        // matched fact per slot (= body order)
   Tuple scratch_tuple_;              // reused for negated-atom probes
   Tuple probe_tuple_;                // reused for fully-ground atom probes

@@ -62,30 +62,27 @@ struct Match {
 /// Sentinel for "no upper bound" in the tuple-index windows below.
 inline constexpr size_t kNoTupleLimit = static_cast<size_t>(-1);
 
-/// How the join executor accesses each body atom's relation.
+/// Join plan selection for a body-matching pass. Both strategies
+/// enumerate the same match set; they differ in atom order and access
+/// paths, and so in work and enumeration order.
 ///
-///  * kHash — per-binding posting probes only: every bound position is
-///    looked up with a binary search on the position's sorted
-///    permutation and candidates come from intersecting the two
-///    shortest posting ranges (the PR 2 execution path, kept as the
-///    ablation baseline and the fallback).
-///  * kMerge — merge join wherever it is structurally available: when
-///    the first two atoms in join order share a variable, the driver
-///    atom's window is enumerated in value order of that variable and
-///    the second atom is read through a monotone galloping cursor on
-///    its sorted permutation instead of per-binding probes.
-///  * kLeapfrog — leapfrog-triejoin residual: the depth-0 driver atom
-///    enumerates as usual (preserving the delta window and sharding
-///    contracts), and the remaining atoms are joined simultaneously,
-///    variable at a time, by galloping k sorted lexicographic
-///    permutations (Relation::LexPerm) to their next common value.
-///  * kAuto — the planner picks: leapfrog when ≥3 positive atoms leave
-///    ≥2 residual atoms sharing a variable the driver does not bind
-///    (triangle/clique-shaped joins, where binary plans churn through
-///    intermediate results no output ever needs); otherwise merge join
-///    when available and the driver window is large enough to amortize
-///    sorting it; posting probes as the fallback.
-enum class JoinStrategy : uint8_t { kAuto, kHash, kMerge, kLeapfrog };
+///  * kAuto — the planner picks: a cost-ordered join (most selective
+///    atom next, by Relation::EstimatedDistinct); a leapfrog-triejoin
+///    residual when ≥3 positive atoms leave ≥2 residual atoms sharing a
+///    variable the driver does not bind (triangle/clique-shaped joins,
+///    where binary plans churn through intermediate results no output
+///    ever needs) — the depth-0 driver still enumerates as usual, and
+///    the remaining atoms are joined variable at a time by galloping
+///    sorted lexicographic permutations (Relation::LexPerm); otherwise a
+///    depth-1 merge cursor when the first two atoms share a variable and
+///    the driver window is large enough to amortize sorting it; posting
+///    probes as the fallback.
+///  * kBinary — the binary plan: atoms in written order with the delta
+///    atom pinned first, a depth-1 merge cursor wherever the first two
+///    atoms share a variable (regardless of window size), posting probes
+///    below, never leapfrog. Kept as the naive-oracle executor of the
+///    equivalence tests and the `/binary` benchmark companion.
+enum class JoinStrategy : uint8_t { kAuto, kBinary };
 
 /// Options for a body-matching pass.
 ///
@@ -112,11 +109,8 @@ struct MatchOptions {
   /// Pre-seeded bindings (used for head-satisfaction checks where the
   /// frontier is already fixed).
   const Binding* seed = nullptr;
-  /// Greedy most-bound-first atom ordering; disable for the ablation
-  /// baseline that joins atoms in written order (bench E13).
-  bool greedy_atom_order = true;
-  /// Access-path selection for the join executor (see JoinStrategy).
-  /// Composes freely with the window contract above: merge-joined atoms
+  /// Join order and access paths (see JoinStrategy). Composes freely
+  /// with the window contract above: merge-joined and leapfrog atoms
   /// still respect their delta / atom_end windows.
   JoinStrategy join_strategy = JoinStrategy::kAuto;
   /// Deadline for the whole pass (epoch = disabled). Checked inside the
@@ -195,11 +189,11 @@ DriverPlan PlanMatchDriver(const datalog::Rule& rule,
 
 /// Enumerates all homomorphisms h with h(body+) ⊆ instance and
 /// h(body−) ∩ instance = ∅, invoking `fn` per match. `fn` returning
-/// false stops the enumeration. Atoms are joined index-nested-loop style
-/// with a greedy most-bound-first order. Returns InvalidArgument when a
-/// negated atom still has an unbound variable once the positive body is
-/// matched (an unsafe rule that bypassed Program validation) instead of
-/// silently dropping answers.
+/// false stops the enumeration. Atoms are joined in the order and with
+/// the access paths `options.join_strategy` plans. Returns
+/// InvalidArgument when a negated atom still has an unbound variable
+/// once the positive body is matched (an unsafe rule that bypassed
+/// Program validation) instead of silently dropping answers.
 Status MatchBody(const datalog::Rule& rule, const Instance& instance,
                  const MatchOptions& options,
                  const std::function<bool(const Match&)>& fn);

@@ -336,17 +336,18 @@ const std::vector<uint32_t>& Relation::LexPerm(
     SyncSorted(key[0]);
     return sorted_[key[0]].perm;
   }
+  MutexLock lock(lex_.mu);
 #ifndef NDEBUG
   {
     // The map insert of a missing key is itself a mutation, so check
-    // before lex_[key] rather than on the sync path below.
-    auto it = lex_.find(key);
-    if (it == lex_.end() || it->second.size() != count_) {
+    // before perms[key] rather than on the sync path below.
+    auto it = lex_.perms.find(key);
+    if (it == lex_.perms.end() || it->second.size() != count_) {
       TRIQ_DCHECK_FROZEN("lex permutation");
     }
   }
 #endif
-  std::vector<uint32_t>& perm = lex_[key];
+  std::vector<uint32_t>& perm = lex_.perms[key];
   uint32_t synced = static_cast<uint32_t>(perm.size());
   if (synced == count_) return perm;
   perm.resize(count_);

@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "common/thread_annotations.h"
 #include "datalog/term.h"
 
 namespace triq::common {
@@ -368,6 +370,8 @@ class Relation {
   /// the insertion tail is sorted and merged with the synced prefix. A
   /// single-position key aliases Sorted(key[0]) — same order, no second
   /// index. The returned reference is valid until the next insert.
+  /// Thread-safe on a relation that no longer grows (a published
+  /// snapshot): concurrent callers share one build per key.
   const std::vector<uint32_t>& LexPerm(const std::vector<uint32_t>& key) const;
 
   /// Syncs the lex permutation for `key` so concurrent matchers can read
@@ -490,8 +494,27 @@ class Relation {
   std::vector<DistinctSketch> sketches_;
   // Multi-position lex permutations, keyed by position sequence; built
   // and extended lazily (FreezeLex pre-builds before parallel fan-out;
-  // std::map so extending one key never moves another's storage).
-  mutable std::map<std::vector<uint32_t>, std::vector<uint32_t>> lex_;
+  // std::map so extending one key never moves another's storage). The
+  // find-or-build runs under the memo's lock: concurrent query chases
+  // over one published snapshot may each build a key nobody froze.
+  // References handed out stay valid because a snapshot never grows and
+  // std::map never moves other keys. Copies and moves carry the map
+  // only, so Relation stays copyable (Instance::CloneFacts) and movable.
+  struct LexMemo {
+    LexMemo() = default;
+    LexMemo(const LexMemo& other) {
+      MutexLock lock(other.mu);
+      perms = other.perms;
+    }
+    LexMemo(LexMemo&& other) noexcept {
+      MutexLock lock(other.mu);
+      perms = std::move(other.perms);
+    }
+    mutable Mutex mu;
+    std::map<std::vector<uint32_t>, std::vector<uint32_t>> perms
+        TRIQ_GUARDED_BY(mu);
+  };
+  mutable LexMemo lex_;
   Tuple insert_scratch_;  // gather buffer: Insert sources may alias store_
 };
 

@@ -72,12 +72,8 @@ chase::ChaseOptions EngineOptions::ToChaseOptions() const {
   chase::ChaseOptions options;
   options.mode = chase_mode;
   options.seminaive = seminaive;
-  options.partition_deltas = partition_deltas;
   options.track_provenance = track_provenance;
-  options.greedy_atom_order = true;
-  options.join_strategy = join_strategy;
   options.num_threads = num_threads;
-  options.scc_rule_order = scc_rule_order;
   options.max_facts = max_facts;
   options.max_null_depth = max_null_depth;
   return options;
@@ -96,16 +92,22 @@ void SortUnique(std::vector<PredicateId>* preds) {
 
 Status QueryClaims::Acquire(std::vector<PredicateId> heads,
                             std::vector<PredicateId> reads,
-                            uint64_t fingerprint, const Dictionary& dict,
+                            const datalog::Program& program,
+                            PredicateId answer, const Dictionary& dict,
                             Token* token) {
   SortUnique(&heads);
   SortUnique(&reads);
+  std::string text = program.ToString();
+  text.push_back('\x1f');
+  text += std::to_string(answer);
+  QueryText query = std::make_shared<const std::string>(std::move(text));
+  auto other = [&](const Claim& claim) { return *claim.query != *query; };
   MutexLock lock(mu_);
   // Validate every claim before recording any: a rejected Prepare must
   // leave the registry exactly as it found it.
   for (PredicateId pred : heads) {
     auto it = heads_.find(pred);
-    if (it != heads_.end() && it->second.fingerprint != fingerprint) {
+    if (it != heads_.end() && other(it->second)) {
       return Status::InvalidArgument(
           "predicate '" + dict.Text(pred) +
           "' is already derived by a different prepared query");
@@ -114,7 +116,7 @@ Status QueryClaims::Acquire(std::vector<PredicateId> heads,
     // depending on evaluation order — same staleness in the other
     // direction.
     auto reader = reads_.find(pred);
-    if (reader != reads_.end() && reader->second.fingerprint != fingerprint) {
+    if (reader != reads_.end() && other(reader->second)) {
       return Status::InvalidArgument(
           "query derives predicate '" + dict.Text(pred) +
           "', which another prepared query reads (evaluation-order "
@@ -124,11 +126,11 @@ Status QueryClaims::Acquire(std::vector<PredicateId> heads,
   // Reading another query's derived predicate is just as unsound as the
   // data program doing it: whether those facts exist depends on
   // evaluation order, and a cached evaluation would never see them. A
-  // query reading its *own* derived predicates (same fingerprint) is
+  // query reading its *own* derived predicates (same text) is
   // ordinary recursion and stays allowed.
   for (PredicateId pred : reads) {
     auto it = heads_.find(pred);
-    if (it != heads_.end() && it->second.fingerprint != fingerprint) {
+    if (it != heads_.end() && other(it->second)) {
       return Status::InvalidArgument(
           "query reads predicate '" + dict.Text(pred) +
           "', which another prepared query derives (evaluation-order "
@@ -136,20 +138,19 @@ Status QueryClaims::Acquire(std::vector<PredicateId> heads,
     }
   }
   for (PredicateId pred : heads) {
-    ++heads_.emplace(pred, Claim{fingerprint, 0}).first->second.refs;
+    ++heads_.emplace(pred, Claim{query, 0}).first->second.refs;
   }
   for (PredicateId pred : reads) {
-    ++reads_.emplace(pred, Claim{fingerprint, 0}).first->second.refs;
+    ++reads_.emplace(pred, Claim{query, 0}).first->second.refs;
   }
   token->heads = std::move(heads);
   token->reads = std::move(reads);
-  token->fingerprint = fingerprint;
-  token->active = true;
+  token->query = std::move(query);
   return Status::OK();
 }
 
 void QueryClaims::Release(Token* token) {
-  if (!token->active) return;
+  if (token->query == nullptr) return;
   MutexLock lock(mu_);
   for (PredicateId pred : token->heads) {
     auto it = heads_.find(pred);
@@ -159,7 +160,7 @@ void QueryClaims::Release(Token* token) {
     auto it = reads_.find(pred);
     if (it != reads_.end() && --it->second.refs == 0) reads_.erase(it);
   }
-  token->active = false;
+  token->query.reset();
 }
 
 bool QueryClaims::HeadClaimed(PredicateId pred) const {
@@ -823,19 +824,6 @@ analysis::ProgramAnalysis Engine::AnalyzeProgram(
 
 // ---- Engine: queries ---------------------------------------------------
 
-uint64_t Engine::FingerprintId(const datalog::Program& program,
-                               datalog::PredicateId answer) {
-  // Interned full texts, not hashes: the id comparison decides whether
-  // two queries may share derived predicates — a soundness question — so
-  // a hash collision must not be able to merge two different programs.
-  std::string text = program.ToString();
-  text.push_back('\x1f');
-  text += std::to_string(answer);
-  auto [it, inserted] =
-      fingerprint_ids_.emplace(std::move(text), fingerprint_ids_.size() + 1);
-  return it->second;
-}
-
 Result<PreparedQuery> Engine::PrepareInternal(
     datalog::Program program, std::string_view answer_predicate) {
   if (program.dict_ptr().get() != dict_.get()) {
@@ -853,8 +841,6 @@ Result<PreparedQuery> Engine::PrepareInternal(
   // is already fixed, so feeding data rules from them would silently
   // under-derive. The claim registry then validates query-vs-query
   // conflicts, in full, before recording anything.
-  const uint64_t fingerprint =
-      FingerprintId(query.program(), query.answer_predicate());
   std::unordered_set<PredicateId> data_predicates = program_.Predicates();
   std::vector<PredicateId> heads, reads;
   for (const Rule& rule : query.program().rules()) {
@@ -876,7 +862,9 @@ Result<PreparedQuery> Engine::PrepareInternal(
   }
   QueryClaims::Token token;
   TRIQ_RETURN_IF_ERROR(claims_->Acquire(std::move(heads), std::move(reads),
-                                        fingerprint, *dict_, &token));
+                                        query.program(),
+                                        query.answer_predicate(), *dict_,
+                                        &token));
   return PreparedQuery(this, std::move(query), claims_, std::move(token));
 }
 
@@ -951,7 +939,7 @@ Result<sparql::MappingSet> Engine::Query(const std::string& sparql_text) {
     auto it = sparql_index_.find(std::string_view(sparql_text));
     if (it != sparql_index_.end()) {
       // Two threads raced on the same miss: adopt the winner's entry and
-      // drop ours (its claims are refcounted under the same fingerprint,
+      // drop ours (its claims are refcounted under the same query text,
       // so releasing them leaves the winner's intact).
       sparql_lru_.splice(sparql_lru_.begin(), sparql_lru_, it->second);
       entry = sparql_lru_.front().second;

@@ -46,28 +46,21 @@ enum class EntailmentRegime { kNone, kActiveDomain, kAll };
 std::string_view EntailmentRegimeName(EntailmentRegime regime);
 
 /// Builder-style session configuration. Every knob the lower layers
-/// expose (chase mode, join strategy, thread count, semi-naive
-/// partitioning, safety caps) is set here once; the engine threads it
-/// down, so callers never construct chase::ChaseOptions themselves.
+/// expose (chase mode, thread count, semi-naive evaluation, safety caps)
+/// is set here once; the engine threads it down, so callers never
+/// construct chase::ChaseOptions themselves.
 ///
 ///   triq::Engine engine(triq::EngineOptions()
 ///                           .SetNumThreads(4)
 ///                           .SetRegime(triq::EntailmentRegime::kAll));
 struct EngineOptions {
   chase::ChaseOptions::Mode chase_mode = chase::ChaseOptions::Mode::kRestricted;
-  chase::JoinStrategy join_strategy = chase::JoinStrategy::kAuto;
   size_t num_threads = 1;
   bool seminaive = true;
-  bool partition_deltas = true;
   bool track_provenance = false;
   size_t max_facts = chase::ChaseOptions().max_facts;
   uint32_t max_null_depth = chase::ChaseOptions().max_null_depth;
   EntailmentRegime regime = EntailmentRegime::kNone;
-
-  /// Order each stratum's rule passes by the reliance-graph condensation
-  /// (see chase::ChaseOptions::scc_rule_order). Counter-equivalent to
-  /// the joint schedule; default off.
-  bool scc_rule_order = false;
 
   /// Refuse to materialize unless static analysis proves the data
   /// program's chase terminates (analysis::AnalyzeTermination verdict
@@ -107,21 +100,12 @@ struct EngineOptions {
     chase_mode = mode;
     return *this;
   }
-  EngineOptions& SetJoinStrategy(chase::JoinStrategy strategy) {
-    join_strategy = strategy;
-    return *this;
-  }
   EngineOptions& SetNumThreads(size_t threads) {
     num_threads = threads;
     return *this;
   }
   EngineOptions& SetSeminaive(bool enabled) {
     seminaive = enabled;
-    if (!enabled) partition_deltas = false;
-    return *this;
-  }
-  EngineOptions& SetPartitionDeltas(bool enabled) {
-    partition_deltas = enabled;
     return *this;
   }
   EngineOptions& SetTrackProvenance(bool enabled) {
@@ -138,10 +122,6 @@ struct EngineOptions {
   }
   EngineOptions& SetRegime(EntailmentRegime r) {
     regime = r;
-    return *this;
-  }
-  EngineOptions& SetSccRuleOrder(bool enabled) {
-    scc_rule_order = enabled;
     return *this;
   }
   EngineOptions& SetRequireTerminationGuarantee(bool enabled) {
@@ -203,29 +183,35 @@ using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
 /// Thread-safe registry of the predicates prepared queries own. A
 /// query's derived (head) predicates and read (body) predicates are
 /// claimed while any handle to it is alive, and released when the last
-/// one drops; claims are reference-counted per (program, answer)
-/// fingerprint, so identical queries share and conflicting ones are
-/// rejected. Shared via shared_ptr between the Engine and every
-/// PreparedQuery/cached plan, so release is safe in either destruction
-/// order.
+/// one drops; claims are reference-counted per query, so identical
+/// queries share and conflicting ones are rejected. A query is
+/// identified by its full program text plus answer predicate — exact
+/// text, not a hash, because the comparison decides a soundness
+/// question (may two queries share derived predicates?). The text is
+/// shared by the query's token and the claims it created, and freed
+/// with the last of them. Shared via shared_ptr between the Engine and
+/// every PreparedQuery/cached plan, so release is safe in either
+/// destruction order.
 class QueryClaims {
  public:
+  using QueryText = std::shared_ptr<const std::string>;
+
   /// One query's claim: returned by Acquire, surrendered to Release.
   struct Token {
     std::vector<datalog::PredicateId> heads;
     std::vector<datalog::PredicateId> reads;
-    uint64_t fingerprint = 0;
-    bool active = false;
+    QueryText query;  // null while inactive
   };
 
-  /// Validates `heads`/`reads` (deduplicated internally) against every
-  /// live claim and, on success, records them into `token`. Conflicts —
-  /// a head someone else derives or reads, a read someone else derives,
-  /// under a different fingerprint — return InvalidArgument and record
-  /// nothing.
+  /// Validates `heads`/`reads` (deduplicated internally) of the query
+  /// (`program`, `answer`) against every live claim and, on success,
+  /// records them into `token`. Conflicts — a head someone else derives
+  /// or reads, a read someone else derives, by a query with different
+  /// text — return InvalidArgument and record nothing.
   Status Acquire(std::vector<datalog::PredicateId> heads,
                  std::vector<datalog::PredicateId> reads,
-                 uint64_t fingerprint, const Dictionary& dict, Token* token);
+                 const datalog::Program& program, datalog::PredicateId answer,
+                 const Dictionary& dict, Token* token);
 
   /// Releases a token acquired above (idempotent; inactive tokens are
   /// ignored).
@@ -236,7 +222,7 @@ class QueryClaims {
 
  private:
   struct Claim {
-    uint64_t fingerprint;
+    QueryText query;
     uint32_t refs;
   };
 
@@ -608,12 +594,6 @@ class Engine {
   Status CheckLoadable(const chase::Instance& src) const
       TRIQ_REQUIRES(writer_mu_);
 
-  /// Collision-free identity of a (program, answer) pair for the claim
-  /// registry.
-  uint64_t FingerprintId(const datalog::Program& program,
-                         datalog::PredicateId answer)
-      TRIQ_REQUIRES(writer_mu_);
-
   /// Appends freshly loaded facts to the base instance and marks the
   /// session for re-materialization.
   Status Ingest(const chase::Instance& src) TRIQ_REQUIRES(writer_mu_);
@@ -666,11 +646,6 @@ class Engine {
   // interleave). Committed only when a publication succeeds.
   chase::SaturatedSizes base_consumed_ TRIQ_GUARDED_BY(writer_mu_);
   std::vector<chase::Term> base_null_map_ TRIQ_GUARDED_BY(writer_mu_);
-  // (program text, answer) -> dense fingerprint id. Interned full texts,
-  // so fingerprint equality is exactly program identity (no hash
-  // collisions deciding soundness).
-  std::unordered_map<std::string, uint64_t> fingerprint_ids_
-      TRIQ_GUARDED_BY(writer_mu_);
   // The write-ahead journal (null = no durability). Deliberately not
   // GUARDED_BY(writer_mu_): the pointer is set once by Open before the
   // engine is shared and never reassigned, and stats() reads it

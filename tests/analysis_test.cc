@@ -2,14 +2,12 @@
 // weakly acyclic ⊂ jointly acyclic, kUnknown above), witness cycles,
 // the rule reliance graph, the lint pass, and the end-to-end wiring —
 // EngineOptions::require_termination_guarantee blocking a divergent
-// program before any chase round, and the SCC-ordered chase schedule
-// being counter-equivalent to the joint schedule.
+// program before any chase round.
 #include "analysis/analyze.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,9 +15,6 @@
 #include "analysis/lint.h"
 #include "analysis/reliance.h"
 #include "analysis/termination.h"
-#include "chase/chase.h"
-#include "chase/instance.h"
-#include "core/workloads.h"
 #include "engine/engine.h"
 #include "test_util.h"
 #include "translate/owl2ql_program.h"
@@ -174,9 +169,6 @@ TEST(RelianceGraphTest, EdgesAndCondensationOrder) {
   EXPECT_EQ(reliance.num_groups(), 3u);
   EXPECT_LT(reliance.GroupOf(0), reliance.GroupOf(2));
   EXPECT_LT(reliance.GroupOf(1), reliance.GroupOf(2));
-  auto runs = reliance.OrderRules({0, 1, 2});
-  ASSERT_EQ(runs.size(), 3u);
-  EXPECT_EQ(runs.back(), std::vector<size_t>{2});
 }
 
 TEST(RelianceGraphTest, MutualRecursionLandsInOneGroup) {
@@ -190,10 +182,7 @@ TEST(RelianceGraphTest, MutualRecursionLandsInOneGroup) {
   RelianceGraph reliance(program);
   EXPECT_EQ(reliance.GroupOf(1), reliance.GroupOf(2));
   EXPECT_LT(reliance.GroupOf(0), reliance.GroupOf(1));
-  auto runs = reliance.OrderRules({0, 1, 2});
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0], std::vector<size_t>{0});
-  EXPECT_EQ(runs[1], (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(reliance.num_groups(), 2u);
 }
 
 TEST(RelianceGraphTest, NegativeRelianceIsTrackedSeparately) {
@@ -454,7 +443,6 @@ TEST(EngineAnalysisTest, TerminationGuaranteeAdmitsProvablePrograms) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->termination, Termination::kGuaranteedTerminating);
   EXPECT_EQ(stats->strata, 1u);
-  EXPECT_GE(stats->rule_groups, 1u);
   auto answers = engine.Answers("tc");
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers->size(), 3u);
@@ -496,174 +484,6 @@ TEST(EngineAnalysisTest, CoreRulesAreExemptUnderReasoningRegimes) {
   ProgramAnalysis with_user = engine.AnalyzeProgram();
   EXPECT_TRUE(HasLint(with_user.lints, LintCheck::kShadowedRule,
                       static_cast<int>(with_user.num_rules) - 1));
-}
-
-// ---- SCC-ordered chase equivalence ------------------------------------
-
-/// Order-independent image of an instance: per predicate (sorted by
-/// name), the sorted list of tuples as raw term vectors. Two chases
-/// that derive the same fact set compare equal regardless of storage
-/// order.
-std::map<std::string, std::vector<std::vector<uint32_t>>> FactImage(
-    const triq::chase::Instance& instance) {
-  std::map<std::string, std::vector<std::vector<uint32_t>>> image;
-  for (const auto& [pred, rel] : instance.relations()) {
-    auto& tuples = image[instance.dict().Text(pred)];
-    for (size_t i = 0; i < rel.size(); ++i) {
-      auto view = rel.tuple(i);
-      std::vector<uint32_t> raw;
-      for (uint32_t j = 0; j < rel.arity(); ++j) {
-        raw.push_back(view[j].raw());
-      }
-      tuples.push_back(std::move(raw));
-    }
-    std::sort(tuples.begin(), tuples.end());
-  }
-  return image;
-}
-
-struct ChaseOutcome {
-  std::map<std::string, std::vector<std::vector<uint32_t>>> image;
-  size_t rule_firings;
-  size_t facts_derived;
-  uint32_t null_count;
-  size_t rule_groups;
-};
-
-ChaseOutcome RunOnce(const triq::datalog::Program& program,
-                     const triq::chase::Instance& database, bool scc_order,
-                     size_t threads) {
-  triq::chase::Instance instance = database.CloneFacts();
-  triq::chase::ChaseOptions options;
-  options.scc_rule_order = scc_order;
-  options.num_threads = threads;
-  triq::chase::ChaseStats stats;
-  triq::Status status =
-      triq::chase::RunChase(program, &instance, options, &stats);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  return {FactImage(instance), stats.rule_firings, stats.facts_derived,
-          instance.null_count(), stats.rule_groups};
-}
-
-void ExpectScheduleEquivalent(const triq::datalog::Program& program,
-                              const triq::chase::Instance& database) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ChaseOutcome joint = RunOnce(program, database, false, threads);
-    ChaseOutcome ordered = RunOnce(program, database, true, threads);
-    EXPECT_EQ(joint.image, ordered.image);
-    EXPECT_EQ(joint.rule_firings, ordered.rule_firings);
-    EXPECT_EQ(joint.facts_derived, ordered.facts_derived);
-    EXPECT_EQ(joint.null_count, ordered.null_count);
-    // The ordered schedule really did split the work (unless the
-    // program is a single group, where both schedules coincide).
-    EXPECT_GE(ordered.rule_groups, joint.rule_groups);
-  }
-}
-
-TEST(SccOrderTest, TransitiveClosureChain) {
-  auto dict = Dict();
-  auto program = triq::core::TransitiveClosureProgram(dict);
-  auto database = triq::core::ChainDatabase(24, dict);
-  ExpectScheduleEquivalent(program, database);
-}
-
-TEST(SccOrderTest, LayeredDerivationPipeline) {
-  auto dict = Dict();
-  // Four dependent layers plus a recursive middle: the condensation has
-  // several groups, so the ordered schedule differs materially from the
-  // joint sweep.
-  auto program = Parse(R"(
-    edge(?X, ?Y) -> hop(?X, ?Y) .
-    hop(?X, ?Y) -> path(?X, ?Y) .
-    path(?X, ?Y), hop(?Y, ?Z) -> path(?X, ?Z) .
-    path(?X, ?Y) -> connected(?X) .
-    connected(?X) -> audited(?X) .
-  )",
-                       dict);
-  auto database = triq::core::ChainDatabase(16, dict);
-  ExpectScheduleEquivalent(program, database);
-}
-
-TEST(SccOrderTest, StratifiedNegationProgram) {
-  auto dict = Dict();
-  auto program = Parse(R"(
-    src(?X, ?Y) -> reached(?Y) .
-    reached(?X), src(?X, ?Y) -> reached(?Y) .
-    node(?X, ?X), not reached(?X) -> isolated(?X) .
-  )",
-                       dict);
-  triq::chase::Instance database(dict);
-  for (int i = 0; i + 1 < 8; ++i) {
-    std::string a = "n" + std::to_string(i);
-    std::string b = "n" + std::to_string(i + 1);
-    ASSERT_TRUE(database.AddFact("src", {a, b}));
-  }
-  ASSERT_TRUE(database.AddFact("node", {"n0", "n0"}));
-  ASSERT_TRUE(database.AddFact("node", {"solo", "solo"}));
-  ExpectScheduleEquivalent(program, database);
-}
-
-TEST(SccOrderTest, CliqueWorkload) {
-  auto dict = Dict();
-  auto program = triq::core::CliqueProgram(dict);
-  auto database = triq::core::CliqueDatabase(
-      5, triq::core::CompleteGraphEdges(5), 3, dict);
-  ExpectScheduleEquivalent(program, database);
-}
-
-TEST(SccOrderTest, ExistentialStrataFallBackToJointSchedule) {
-  auto dict = Dict();
-  // One stratum containing an existential rule: the gate must leave the
-  // schedule untouched, so the two runs are bit-identical — storage
-  // order and null identities included.
-  auto program = Parse(R"(
-    person(?X) -> exists ?W wrote(?X, ?W) .
-    wrote(?X, ?W), person(?X) -> covered(?X) .
-  )",
-                       dict);
-  triq::chase::Instance database(dict);
-  ASSERT_TRUE(database.AddFact("person", {"alice"}));
-  ASSERT_TRUE(database.AddFact("person", {"bob"}));
-  triq::chase::Instance joint = database.CloneFacts();
-  triq::chase::Instance ordered = database.CloneFacts();
-  triq::chase::ChaseOptions options;
-  ASSERT_TRUE(triq::chase::RunChase(program, &joint, options).ok());
-  options.scc_rule_order = true;
-  triq::chase::ChaseStats stats;
-  ASSERT_TRUE(
-      triq::chase::RunChase(program, &ordered, options, &stats).ok());
-  EXPECT_EQ(joint.ToString(), ordered.ToString());
-  EXPECT_EQ(stats.rule_groups, stats.strata);
-}
-
-TEST(SccOrderTest, EngineOptionThreadsThroughToAnswers) {
-  auto run = [](bool ordered) {
-    triq::Engine engine(triq::EngineOptions().SetSccRuleOrder(ordered));
-    EXPECT_TRUE(engine
-                    .AttachRules(R"(
-      triple(?X, e, ?Y) -> hop(?X, ?Y) .
-      hop(?X, ?Y) -> tc(?X, ?Y) .
-      tc(?X, ?Y), hop(?Y, ?Z) -> tc(?X, ?Z) .
-    )")
-                    .ok());
-    for (int i = 0; i + 1 < 6; ++i) {
-      EXPECT_TRUE(engine
-                      .AddTriple("v" + std::to_string(i), "e",
-                                 "v" + std::to_string(i + 1))
-                      .ok());
-    }
-    auto answers = engine.Answers("tc");
-    EXPECT_TRUE(answers.ok());
-    std::vector<std::vector<uint32_t>> rows;
-    for (const auto& tuple : *answers) {
-      std::vector<uint32_t> row;
-      for (auto t : tuple) row.push_back(t.raw());
-      rows.push_back(std::move(row));
-    }
-    std::sort(rows.begin(), rows.end());
-    return rows;
-  };
-  EXPECT_EQ(run(false), run(true));
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ TEST(ChaseTest, NaiveAndSeminaiveAgree) {
   Instance db2 = build(dict2);
   ChaseOptions naive;
   naive.seminaive = false;
-  naive.partition_deltas = false;
+  naive.join_strategy = JoinStrategy::kBinary;
   ASSERT_TRUE(RunChase(Parse(text, dict1), &db1, {}).ok());
   ASSERT_TRUE(RunChase(Parse(text, dict2), &db2, naive).ok());
   EXPECT_EQ(db1.ToString(), db2.ToString());

@@ -1,10 +1,13 @@
-// The join-executor layer: hash-probe vs merge-join equivalence.
+// The join-executor layer: kAuto vs kBinary plan equivalence.
 //
-// The access-path planner (match.cc) may replace posting probes with a
-// sorted driver + galloping cursor; nothing about the produced matches
-// may change. These tests pin that down at the MatchBody level and
+// The planner (match.cc) picks the join order and each atom's access
+// path — posting probes, a sorted driver + galloping merge cursor, or a
+// leapfrog-triejoin residual; nothing about the produced matches may
+// change. These tests pin that down at the MatchBody level and
 // end-to-end through the chase, on hand-built joins and on randomized
-// programs with negation and repeated predicates.
+// programs with negation and repeated predicates, and pin which access
+// paths each strategy actually plans (so the two-strategy grids still
+// reach every path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,24 +69,87 @@ TEST(MergeJoinMatchTest, StrategiesEnumerateTheSameMatches) {
   }
   datalog::Rule rule =
       ParseR("e(?X, ?Y), f(?Y, ?Z) -> g(?X, ?Z)", dict.get());
-  chase::MatchOptions hash;
-  hash.join_strategy = chase::JoinStrategy::kHash;
-  chase::MatchOptions merge;
-  merge.join_strategy = chase::JoinStrategy::kMerge;
-  chase::MatchOptions leapfrog;
-  leapfrog.join_strategy = chase::JoinStrategy::kLeapfrog;
-  chase::MatchOptions automatic;  // default
-  auto expected = MatchFingerprint(rule, db, hash);
-  EXPECT_FALSE(expected.empty());
-  EXPECT_EQ(MatchFingerprint(rule, db, merge), expected);
-  EXPECT_EQ(MatchFingerprint(rule, db, leapfrog), expected);
-  EXPECT_EQ(MatchFingerprint(rule, db, automatic), expected);
+  // Full window: both strategies merge. A 20-tuple delta window is below
+  // kAuto's merge threshold, so kAuto probes postings while kBinary
+  // still merges.
+  for (size_t window : {chase::kNoTupleLimit, size_t{20}}) {
+    chase::MatchOptions binary;
+    if (window != chase::kNoTupleLimit) {
+      binary.delta_body_index = 0;
+      binary.delta_begin = 50;
+      binary.delta_end = 50 + window;
+    }
+    chase::MatchOptions automatic = binary;  // kAuto
+    binary.join_strategy = chase::JoinStrategy::kBinary;
+    auto expected = MatchFingerprint(rule, db, binary);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(MatchFingerprint(rule, db, automatic), expected)
+        << "window=" << window;
+  }
+}
+
+/// Plan-shape coverage for the two-strategy grids: ExplainMatchPlan shows
+/// kAuto still planning merge, posting-probe, find-index and leapfrog
+/// access paths on the shapes built for them, and kBinary never planning
+/// leapfrog — so the {kAuto, kBinary} sweeps reach every access path.
+TEST(JoinPlanShapeTest, StrategiesReachEveryAccessPath) {
+  auto dict = Dict();
+  chase::Instance db(dict);
+  std::mt19937 rng(11);
+  for (int i = 0; i < 120; ++i) {
+    db.AddFact("e", {"a" + std::to_string(rng() % 12),
+                     "b" + std::to_string(rng() % 12)});
+    db.AddFact("f", {"b" + std::to_string(rng() % 12),
+                     "c" + std::to_string(rng() % 12)});
+    db.AddFact("tc", {"n" + std::to_string(i), "n" + std::to_string(i + 1)});
+  }
+  auto plan = [&](std::string_view rule_text, chase::JoinStrategy strategy) {
+    chase::MatchOptions options;
+    options.join_strategy = strategy;
+    return chase::ExplainMatchPlan(ParseR(rule_text, dict.get()), db,
+                                   options);
+  };
+  auto has = [](const std::string& text, std::string_view needle) {
+    return text.find(needle) != std::string::npos;
+  };
+  const std::string_view kMergeJoin = "e(?X, ?Y), f(?Y, ?Z) -> g(?X, ?Z)";
+  const std::string_view kProbe = "e(a1, ?Y), f(?Y, ?Z) -> g(?Z)";
+  const std::string_view kGround = "e(a1, ?Y), f(?Y, c2) -> g(?Y)";
+  const std::string_view kTriangle =
+      "e(?X, ?Y), e(?Y, ?Z), e(?Z, ?X) -> t(?X)";
+  const std::string_view kChain =
+      "tc(?A, ?B), tc(?B, ?C), tc(?C, ?D) -> big(?A, ?D)";
+
+  std::string merge = plan(kMergeJoin, chase::JoinStrategy::kAuto);
+  EXPECT_TRUE(has(merge, "strategy: merge (auto)")) << merge;
+  EXPECT_TRUE(has(merge, "merge-cursor")) << merge;
+  std::string probe = plan(kProbe, chase::JoinStrategy::kAuto);
+  EXPECT_TRUE(has(probe, "0: e(a1, ?Y)  postings")) << probe;
+  EXPECT_TRUE(has(probe, "1: f(?Y, ?Z)  postings")) << probe;
+  std::string ground = plan(kGround, chase::JoinStrategy::kAuto);
+  EXPECT_TRUE(has(ground, "find-index")) << ground;
+  for (std::string_view shape : {kTriangle, kChain}) {
+    std::string text = plan(shape, chase::JoinStrategy::kAuto);
+    EXPECT_TRUE(has(text, "strategy: leapfrog (auto)")) << text;
+    EXPECT_TRUE(has(text, "leapfrog[")) << text;
+  }
+
+  for (std::string_view shape :
+       {kMergeJoin, kProbe, kGround, kTriangle, kChain}) {
+    std::string text = plan(shape, chase::JoinStrategy::kBinary);
+    EXPECT_TRUE(has(text, "(binary)")) << text;
+    EXPECT_FALSE(has(text, "leapfrog")) << text;
+  }
+  EXPECT_TRUE(has(plan(kMergeJoin, chase::JoinStrategy::kBinary),
+                  "strategy: merge (binary)"));
+  EXPECT_TRUE(
+      has(plan(kTriangle, chase::JoinStrategy::kBinary), "merge-cursor"));
 }
 
 /// The leapfrog residual on the workload it was built for: a 3-atom
-/// cyclic (triangle) rule, where kAuto engages it. All strategies
-/// enumerate the identical match set, with and without delta/atom_end
-/// windows on the driver.
+/// cyclic (triangle) rule, where kAuto engages it. kAuto and the binary
+/// plan enumerate the identical match set, with and without
+/// delta/atom_end windows on the driver.
 TEST(MergeJoinMatchTest, TriangleStrategiesAgreeUnderWindows) {
   auto dict = Dict();
   chase::Instance db(dict);
@@ -103,19 +169,11 @@ TEST(MergeJoinMatchTest, TriangleStrategiesAgreeUnderWindows) {
       opts.delta_end = delta_begin + 120;
       opts.atom_end = {chase::kNoTupleLimit, 280, 260};
     }
-    chase::MatchOptions hash = opts;
-    hash.join_strategy = chase::JoinStrategy::kHash;
-    chase::MatchOptions merge = opts;
-    merge.join_strategy = chase::JoinStrategy::kMerge;
-    chase::MatchOptions leapfrog = opts;
-    leapfrog.join_strategy = chase::JoinStrategy::kLeapfrog;
+    chase::MatchOptions binary = opts;
+    binary.join_strategy = chase::JoinStrategy::kBinary;
     chase::MatchOptions automatic = opts;  // kAuto: engages the leapfrog
-    auto expected = MatchFingerprint(rule, db, hash);
+    auto expected = MatchFingerprint(rule, db, binary);
     EXPECT_FALSE(expected.empty());
-    EXPECT_EQ(MatchFingerprint(rule, db, merge), expected)
-        << "delta_begin=" << delta_begin;
-    EXPECT_EQ(MatchFingerprint(rule, db, leapfrog), expected)
-        << "delta_begin=" << delta_begin;
     EXPECT_EQ(MatchFingerprint(rule, db, automatic), expected)
         << "delta_begin=" << delta_begin;
   }
@@ -136,14 +194,11 @@ TEST(MergeJoinMatchTest, StarJoinStrategiesAgree) {
   datalog::Rule rule = ParseR(
       "a(?C, ?X), b(?C, ?Y), a(?C, ?Z), b(?C, y3) -> s(?X, ?Y, ?Z)",
       dict.get());
-  chase::MatchOptions hash;
-  hash.join_strategy = chase::JoinStrategy::kHash;
-  chase::MatchOptions leapfrog;
-  leapfrog.join_strategy = chase::JoinStrategy::kLeapfrog;
+  chase::MatchOptions binary;
+  binary.join_strategy = chase::JoinStrategy::kBinary;
   chase::MatchOptions automatic;
-  auto expected = MatchFingerprint(rule, db, hash);
+  auto expected = MatchFingerprint(rule, db, binary);
   EXPECT_FALSE(expected.empty());
-  EXPECT_EQ(MatchFingerprint(rule, db, leapfrog), expected);
   EXPECT_EQ(MatchFingerprint(rule, db, automatic), expected);
 }
 
@@ -159,18 +214,20 @@ TEST(MergeJoinMatchTest, StrategiesRespectDeltaAndAtomEndWindows) {
   }
   datalog::Rule rule =
       ParseR("e(?X, ?Y), e(?Y, ?Z) -> p(?X, ?Z)", dict.get());
-  for (size_t delta_begin : {0u, 40u, 100u}) {
-    chase::MatchOptions hash;
-    hash.delta_body_index = 0;
-    hash.delta_begin = delta_begin;
-    hash.delta_end = delta_begin + 50;
-    hash.atom_end = {chase::kNoTupleLimit, 120};
-    chase::MatchOptions merge = hash;
-    hash.join_strategy = chase::JoinStrategy::kHash;
-    merge.join_strategy = chase::JoinStrategy::kMerge;
-    EXPECT_EQ(MatchFingerprint(rule, db, merge),
-              MatchFingerprint(rule, db, hash))
-        << "delta_begin=" << delta_begin;
+  // 20-tuple windows: kAuto probes, kBinary merges; 50: both merge.
+  for (size_t window : {20u, 50u}) {
+    for (size_t delta_begin : {0u, 40u, 100u}) {
+      chase::MatchOptions automatic;
+      automatic.delta_body_index = 0;
+      automatic.delta_begin = delta_begin;
+      automatic.delta_end = delta_begin + window;
+      automatic.atom_end = {chase::kNoTupleLimit, 120};
+      chase::MatchOptions binary = automatic;
+      binary.join_strategy = chase::JoinStrategy::kBinary;
+      EXPECT_EQ(MatchFingerprint(rule, db, binary),
+                MatchFingerprint(rule, db, automatic))
+          << "window=" << window << " delta_begin=" << delta_begin;
+    }
   }
 }
 
@@ -226,13 +283,12 @@ class RandomDatalog {
 
 class JoinStrategySweep : public ::testing::TestWithParam<int> {};
 
-/// The full ablation grid on random stratified programs: every join
-/// strategy × delta partitioning × threads {1, 4} fixes the instance
-/// the naive fixpoint fixes (plain Datalog: exact ToString, so tuple
-/// order too), and for a fixed partitioning mode the match counts
-/// (`rule_firings`, `facts_derived`) are identical across strategies
-/// and thread counts — the match SET of every pass is
-/// strategy-independent.
+/// The strategy grid on random stratified programs: both join
+/// strategies × threads {1, 4} fix the instance the naive fixpoint
+/// (kBinary) fixes (plain Datalog: exact ToString, so tuple order too),
+/// and the match counts (`rule_firings`, `facts_derived`, `rounds`) are
+/// identical across strategies and thread counts — the match SET of
+/// every pass is strategy-independent.
 TEST_P(JoinStrategySweep, StrategyGridEquivalence) {
   uint64_t seed = static_cast<uint64_t>(GetParam());
   RandomDatalog gen(seed);
@@ -246,42 +302,35 @@ TEST_P(JoinStrategySweep, StrategyGridEquivalence) {
 
   chase::ChaseOptions naive;
   naive.seminaive = false;
-  naive.partition_deltas = false;
-  naive.join_strategy = chase::JoinStrategy::kHash;
+  naive.join_strategy = chase::JoinStrategy::kBinary;
   chase::Instance naive_db = db.CloneFacts();
   ASSERT_TRUE(RunChase(*program, &naive_db, naive).ok());
   const std::string expected = naive_db.ToString();
 
-  const chase::JoinStrategy strategies[] = {
-      chase::JoinStrategy::kHash, chase::JoinStrategy::kMerge,
-      chase::JoinStrategy::kLeapfrog, chase::JoinStrategy::kAuto};
-  for (bool partition : {true, false}) {
-    // Reference counters for this partitioning mode: hash, 1 thread.
-    chase::ChaseStats ref_stats;
-    bool have_ref = false;
-    for (chase::JoinStrategy strategy : strategies) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        chase::ChaseOptions options;
-        options.partition_deltas = partition;
-        options.join_strategy = strategy;
-        options.num_threads = threads;
-        chase::Instance run_db = db.CloneFacts();
-        chase::ChaseStats stats;
-        ASSERT_TRUE(RunChase(*program, &run_db, options, &stats).ok());
-        std::string label = "strategy=" +
-                            std::to_string(static_cast<int>(strategy)) +
-                            " partition=" + std::to_string(partition) +
-                            " threads=" + std::to_string(threads);
-        EXPECT_EQ(run_db.ToString(), expected)
-            << label << "\n" << program->ToString();
-        if (!have_ref) {
-          ref_stats = stats;
-          have_ref = true;
-        } else {
-          EXPECT_EQ(stats.rule_firings, ref_stats.rule_firings) << label;
-          EXPECT_EQ(stats.facts_derived, ref_stats.facts_derived) << label;
-          EXPECT_EQ(stats.rounds, ref_stats.rounds) << label;
-        }
+  // Reference counters: the first grid cell (kBinary, 1 thread).
+  chase::ChaseStats ref_stats;
+  bool have_ref = false;
+  for (chase::JoinStrategy strategy :
+       {chase::JoinStrategy::kBinary, chase::JoinStrategy::kAuto}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      chase::ChaseOptions options;
+      options.join_strategy = strategy;
+      options.num_threads = threads;
+      chase::Instance run_db = db.CloneFacts();
+      chase::ChaseStats stats;
+      ASSERT_TRUE(RunChase(*program, &run_db, options, &stats).ok());
+      std::string label = "strategy=" +
+                          std::to_string(static_cast<int>(strategy)) +
+                          " threads=" + std::to_string(threads);
+      EXPECT_EQ(run_db.ToString(), expected)
+          << label << "\n" << program->ToString();
+      if (!have_ref) {
+        ref_stats = stats;
+        have_ref = true;
+      } else {
+        EXPECT_EQ(stats.rule_firings, ref_stats.rule_firings) << label;
+        EXPECT_EQ(stats.facts_derived, ref_stats.facts_derived) << label;
+        EXPECT_EQ(stats.rounds, ref_stats.rounds) << label;
       }
     }
   }
@@ -291,7 +340,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, JoinStrategySweep, ::testing::Range(1, 21));
 
 /// Triangle closure end-to-end through the chase: the 3-atom cyclic
 /// rule that kAuto routes to the leapfrog operator, on a random graph,
-/// across all strategies and thread counts — identical instances and
+/// across both strategies and thread counts — identical instances and
 /// exact counter equality (plain Datalog).
 TEST(MergeJoinChaseTest, TriangleAgreesAcrossStrategiesAndThreads) {
   auto dict = Dict();
@@ -305,16 +354,15 @@ TEST(MergeJoinChaseTest, TriangleAgreesAcrossStrategiesAndThreads) {
                      "n" + std::to_string(rng() % 40)});
   }
 
-  chase::ChaseOptions hash;
-  hash.join_strategy = chase::JoinStrategy::kHash;
-  chase::Instance hash_db = db.CloneFacts();
-  chase::ChaseStats hash_stats;
-  ASSERT_TRUE(RunChase(*program, &hash_db, hash, &hash_stats).ok());
-  ASSERT_GT(hash_db.Find("tri")->size(), 0u);
+  chase::ChaseOptions binary;
+  binary.join_strategy = chase::JoinStrategy::kBinary;
+  chase::Instance binary_db = db.CloneFacts();
+  chase::ChaseStats binary_stats;
+  ASSERT_TRUE(RunChase(*program, &binary_db, binary, &binary_stats).ok());
+  ASSERT_GT(binary_db.Find("tri")->size(), 0u);
 
   for (chase::JoinStrategy strategy :
-       {chase::JoinStrategy::kMerge, chase::JoinStrategy::kLeapfrog,
-        chase::JoinStrategy::kAuto}) {
+       {chase::JoinStrategy::kBinary, chase::JoinStrategy::kAuto}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       chase::ChaseOptions options;
       options.join_strategy = strategy;
@@ -325,43 +373,44 @@ TEST(MergeJoinChaseTest, TriangleAgreesAcrossStrategiesAndThreads) {
       std::string label = "strategy=" +
                           std::to_string(static_cast<int>(strategy)) +
                           " threads=" + std::to_string(threads);
-      EXPECT_EQ(run_db.ToString(), hash_db.ToString()) << label;
-      EXPECT_EQ(stats.rule_firings, hash_stats.rule_firings) << label;
-      EXPECT_EQ(stats.facts_derived, hash_stats.facts_derived) << label;
+      EXPECT_EQ(run_db.ToString(), binary_db.ToString()) << label;
+      EXPECT_EQ(stats.rule_firings, binary_stats.rule_firings) << label;
+      EXPECT_EQ(stats.facts_derived, binary_stats.facts_derived) << label;
     }
   }
 }
 
 /// Transitive closure on a chain — the workload the merge join was
 /// built for — derives the same closure with the same exact counters
-/// under every strategy.
+/// under both strategies. Late semi-naive delta windows fall below
+/// kAuto's merge threshold, so there kAuto probes postings where
+/// kBinary merges.
 TEST(MergeJoinChaseTest, TransitiveClosureAgreesAcrossStrategies) {
   constexpr int kChain = 64;  // > kAutoMergeMinWindow: kAuto merges too
   auto dict = Dict();
   auto program = core::TransitiveClosureProgram(dict);
   chase::Instance db = core::ChainDatabase(kChain, dict);
 
-  chase::ChaseOptions hash;
-  hash.join_strategy = chase::JoinStrategy::kHash;
-  chase::ChaseOptions merge;
-  merge.join_strategy = chase::JoinStrategy::kMerge;
+  chase::ChaseOptions automatic;
+  chase::ChaseOptions binary;
+  binary.join_strategy = chase::JoinStrategy::kBinary;
 
-  chase::Instance hash_db = db.CloneFacts();
-  chase::Instance merge_db = db.CloneFacts();
-  chase::ChaseStats hash_stats, merge_stats;
-  ASSERT_TRUE(RunChase(program, &hash_db, hash, &hash_stats).ok());
-  ASSERT_TRUE(RunChase(program, &merge_db, merge, &merge_stats).ok());
-  EXPECT_EQ(merge_db.Find("tc")->size(),
+  chase::Instance auto_db = db.CloneFacts();
+  chase::Instance binary_db = db.CloneFacts();
+  chase::ChaseStats auto_stats, binary_stats;
+  ASSERT_TRUE(RunChase(program, &auto_db, automatic, &auto_stats).ok());
+  ASSERT_TRUE(RunChase(program, &binary_db, binary, &binary_stats).ok());
+  EXPECT_EQ(binary_db.Find("tc")->size(),
             static_cast<size_t>(kChain) * (kChain + 1) / 2);
-  EXPECT_EQ(merge_db.ToString(), hash_db.ToString());
-  EXPECT_EQ(merge_stats.rule_firings, hash_stats.rule_firings);
-  EXPECT_EQ(merge_stats.facts_derived, hash_stats.facts_derived);
-  EXPECT_EQ(merge_stats.rounds, hash_stats.rounds);
+  EXPECT_EQ(binary_db.ToString(), auto_db.ToString());
+  EXPECT_EQ(binary_stats.rule_firings, auto_stats.rule_firings);
+  EXPECT_EQ(binary_stats.facts_derived, auto_stats.facts_derived);
+  EXPECT_EQ(binary_stats.rounds, auto_stats.rounds);
 }
 
 /// With old/delta/all partitioning, the exact firing count of the
 /// repeated-predicate join (property_test pins 14 on a 4-edge chain)
-/// is preserved under forced merge join.
+/// is preserved under the binary plan's merge join.
 TEST(MergeJoinChaseTest, RepeatedPredicateFiringsStayExact) {
   auto dict = Dict();
   auto program = datalog::ParseProgram(R"(
@@ -374,10 +423,10 @@ TEST(MergeJoinChaseTest, RepeatedPredicateFiringsStayExact) {
   for (int i = 0; i < 4; ++i) {
     db.AddFact("e", {"v" + std::to_string(i), "v" + std::to_string(i + 1)});
   }
-  chase::ChaseOptions merge;
-  merge.join_strategy = chase::JoinStrategy::kMerge;
+  chase::ChaseOptions binary;
+  binary.join_strategy = chase::JoinStrategy::kBinary;
   chase::ChaseStats stats;
-  ASSERT_TRUE(RunChase(*program, &db, merge, &stats).ok());
+  ASSERT_TRUE(RunChase(*program, &db, binary, &stats).ok());
   EXPECT_EQ(db.Find("t")->size(), 10u);
   EXPECT_EQ(stats.rule_firings, 14u);
 }

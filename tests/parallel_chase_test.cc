@@ -4,7 +4,7 @@
 // produces a bit-identical instance — same tuples at the same tuple
 // indexes, same null identities — and identical stats. These tests pin
 // that down with storage-order fingerprints across an equivalence sweep
-// (naive vs. seminaive vs. partitioned × threads ∈ {1, 2, 4, 8}), at
+// (naive vs. seminaive × threads ∈ {1, 2, 4, 8}), at
 // the MatchBody level via the DriverPlan sharding contract, on the
 // degenerate shard shapes (empty delta, single tuple, too small to
 // shard), and for the work-stealing pool itself.
@@ -72,16 +72,12 @@ void CheckEquivalenceSweep(const datalog::Program& program,
   struct Mode {
     const char* name;
     bool seminaive;
-    bool partition;
   };
-  const Mode kModes[] = {{"naive", false, false},
-                         {"seminaive", true, false},
-                         {"partitioned", true, true}};
+  const Mode kModes[] = {{"naive", false}, {"seminaive", true}};
   std::string content_across_modes;
   for (const Mode& mode : kModes) {
     ChaseOptions base;
     base.seminaive = mode.seminaive;
-    base.partition_deltas = mode.partition;
     RunOutcome reference = RunWith(program, db, base);
     for (size_t threads : {2, 4, 8}) {
       ChaseOptions options = base;
@@ -177,8 +173,8 @@ TEST(ParallelChaseTest, RandomGraphStrategyAndThreadSweep) {
       "tc(?X, ?Y), tc(?Y, ?Z) -> tc(?X, ?Z) .\n",
       dict);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
-  for (auto strategy : {chase::JoinStrategy::kAuto, chase::JoinStrategy::kHash,
-                        chase::JoinStrategy::kMerge}) {
+  for (auto strategy :
+       {chase::JoinStrategy::kAuto, chase::JoinStrategy::kBinary}) {
     ChaseOptions base;
     base.join_strategy = strategy;
     RunOutcome reference = RunWith(*program, db, base);
@@ -350,8 +346,8 @@ TEST(DriverPlanTest, ConcatenatedShardsEqualUnshardedStream) {
   auto rule = datalog::ParseRule("e(?X, ?Y), f(?Y, ?Z) -> g(?X, ?Z)",
                                  dict.get());
   ASSERT_TRUE(rule.ok());
-  for (auto strategy : {chase::JoinStrategy::kAuto, chase::JoinStrategy::kHash,
-                        chase::JoinStrategy::kMerge}) {
+  for (auto strategy :
+       {chase::JoinStrategy::kAuto, chase::JoinStrategy::kBinary}) {
     chase::MatchOptions options;
     options.join_strategy = strategy;
     std::vector<std::string> unsharded = MatchStream(*rule, db, options);
