@@ -50,6 +50,16 @@ class ChaseRun {
         resume_(resume) {}
 
   Status Run() {
+    const uint64_t sorted_before = TuplesSortedOnThisThread();
+    Status status = RunStrata();
+    if (stats_ != nullptr) {
+      stats_->tuples_sorted = TuplesSortedOnThisThread() - sorted_before;
+    }
+    return status;
+  }
+
+ private:
+  Status RunStrata() {
     total_facts_ = instance_->TotalFacts();
     deadline_set_ =
         options_.deadline != std::chrono::steady_clock::time_point{};
@@ -71,7 +81,6 @@ class ChaseRun {
     return CheckConstraints();
   }
 
- private:
   using SizeSnapshot = std::unordered_map<PredicateId, size_t>;
 
   /// Exclusive end offsets of one staged match in the flat general-path
@@ -320,13 +329,82 @@ class ChaseRun {
       return CommitBatch(rule.head[0], static_cast<uint32_t>(hash_arity),
                          num_shards);
     }
-    for (size_t s = 0; s < num_shards; ++s) {
-      const ShardStage& stage = stages_[s];
-      TRIQ_RETURN_IF_ERROR(
-          fast ? DrainFastTuples(rule, stage.tuples.data(), stage.matches)
-               : DrainStagedMatches(rule_index, rule, existentials, stage));
+    if (!existentials.empty() &&
+        options_.mode == ChaseOptions::Mode::kRestricted &&
+        rule.head.size() == 1 && staged_matches > 0) {
+      BeginHeadCheck(rule, existentials);
     }
-    return Status::OK();
+    Status status = Status::OK();
+    for (size_t s = 0; s < num_shards && status.ok(); ++s) {
+      const ShardStage& stage = stages_[s];
+      status = fast ? DrainFastTuples(rule, stage.tuples.data(),
+                                      stage.matches)
+                    : DrainStagedMatches(rule_index, rule, existentials,
+                                         stage);
+    }
+    head_check_.reset();  // frees the drain-local key set
+    return status;
+  }
+
+  /// Restricted-chase head check of one drain (the commit of one pass)
+  /// of a single-head-atom existential rule. A trigger's head is
+  /// satisfied iff a fact extending its frontier exists either
+  ///  * among the facts present before the drain — `probe`, planned
+  ///    once and windowed at the head relation's size when the drain
+  ///    started, so its posting reads sync each permutation at most
+  ///    once per drain instead of once per new null; or
+  ///  * among the facts this drain created. Only this drain inserts
+  ///    into the head relation while it runs, and each fact it creates
+  ///    is the head atom with fresh nulls at the existential positions,
+  ///    so it satisfies a later trigger exactly when the two agree on
+  ///    the other positions (frontier values and constants): `created`
+  ///    holds those keys.
+  /// Same verdict as HasMatch over the live instance, so triggers, null
+  /// allocation order and the closure are unchanged.
+  struct HeadCheck {
+    std::vector<Term> frontier;        // rule.FrontierVariables()
+    std::vector<Term> key_args;        // head args not existential
+    std::unique_ptr<AtomProbe> probe;  // planned on the first trigger
+    size_t window_end = 0;             // head relation size at drain start
+    std::unordered_set<Tuple, TupleHash> created;
+    Tuple key;     // scratch: the current trigger's key
+    Binding seed;  // scratch: the current trigger's frontier
+  };
+
+  void BeginHeadCheck(const Rule& rule, const std::vector<Term>& existentials) {
+    head_check_ = std::make_unique<HeadCheck>();
+    head_check_->frontier = rule.FrontierVariables();
+    for (Term t : rule.head[0].args) {
+      if (std::find(existentials.begin(), existentials.end(), t) ==
+          existentials.end()) {
+        head_check_->key_args.push_back(t);
+      }
+    }
+    const Relation* rel = instance_->Find(rule.head[0].predicate);
+    head_check_->window_end = rel == nullptr ? 0 : rel->size();
+  }
+
+  /// Whether `binding`'s trigger of `rule` is already satisfied (see
+  /// HeadCheck). Multi-atom heads re-plan a HasMatch per trigger.
+  bool HeadSatisfied(const Rule& rule, const Binding& binding) {
+    if (head_check_ == nullptr) {
+      Binding frontier;
+      for (Term v : rule.FrontierVariables()) {
+        frontier.Bind(v, binding.Lookup(v));
+      }
+      return HasMatch(rule.head, *instance_, frontier);
+    }
+    HeadCheck& check = *head_check_;
+    check.key.clear();
+    for (Term t : check.key_args) check.key.push_back(binding.Apply(t));
+    if (check.created.count(check.key) > 0) return true;
+    check.seed.PopTo(0);
+    for (Term v : check.frontier) check.seed.Bind(v, binding.Lookup(v));
+    if (check.probe == nullptr) {
+      check.probe = std::make_unique<AtomProbe>(rule.head[0], *instance_,
+                                                check.seed, check.window_end);
+    }
+    return check.probe->HasMatch(check.seed);
   }
 
   /// Plans a pooled pass's shards: splits PlanMatchDriver's depth-0
@@ -472,14 +550,10 @@ class ChaseRun {
         if (!RecordTrigger(rule_index, rule, binding)) {
           return Status::OK();  // already fired for this homomorphism
         }
-      } else {
-        // Restricted chase: skip if some extension of the frontier
-        // already satisfies the whole head.
-        Binding frontier;
-        for (Term v : rule.FrontierVariables()) {
-          frontier.Bind(v, binding.Lookup(v));
-        }
-        if (HasMatch(rule.head, *instance_, frontier)) return Status::OK();
+      } else if (HeadSatisfied(rule, binding)) {
+        // Restricted chase: some extension of the frontier already
+        // satisfies the whole head.
+        return Status::OK();
       }
       // Null-depth cap: a fresh null is one level deeper than the
       // deepest null among the matched body terms.
@@ -496,6 +570,9 @@ class ChaseRun {
       for (Term v : existentials) {
         head_binding.Bind(v, instance_->AllocateNull(depth + 1));
         if (stats_ != nullptr) ++stats_->nulls_created;
+      }
+      if (head_check_ != nullptr) {
+        head_check_->created.insert(head_check_->key);
       }
     }
 
@@ -566,6 +643,9 @@ class ChaseRun {
 
   // Per-shard match staging (entry 0 alone for an unsharded pass).
   std::vector<ShardStage> stages_;
+  // The current drain's head check; null outside a restricted drain of
+  // a single-head-atom existential rule.
+  std::unique_ptr<HeadCheck> head_check_;
   Binding scratch_binding_;
   Tuple scratch_tuple_;
 };

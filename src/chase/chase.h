@@ -22,8 +22,14 @@ struct ChaseOptions {
   /// How existential rules fire (Section 3.2 semantics):
   ///  * kRestricted — the standard chase: an ∃-rule fires only if no
   ///    extension of the frontier already satisfies the head in the
-  ///    current instance. Terminates on all programs used in the paper
-  ///    and computes the same certain answers on Π(D)↓.
+  ///    current instance. Triggers are checked in staging order against
+  ///    the facts present before the pass plus those created earlier in
+  ///    the same pass. Single-atom heads check the two parts separately
+  ///    (a probe planned once per pass over the pre-pass facts, and a
+  ///    hash set of the frontier/constant values fired this pass);
+  ///    multi-atom heads run a per-trigger HasMatch. Terminates on all
+  ///    programs used in the paper and computes the same certain
+  ///    answers on Π(D)↓.
   ///  * kOblivious — fires once per homomorphism regardless; matches the
   ///    paper's definition literally but diverges on cyclic ∃-rules
   ///    (bounded below by the depth cap).
@@ -86,6 +92,11 @@ struct ChaseStats {
   /// Match passes that ran sharded across the thread pool (0 when
   /// num_threads <= 1 or every pass was below the sharding threshold).
   size_t sharded_passes = 0;
+  /// Tuples sorted or merged into permutation indexes during the run
+  /// (TuplesSortedOnThisThread): the index-maintenance work counter.
+  /// Deterministic for a given num_threads, but not across thread
+  /// counts — a sharded pass syncs the indexes it probes up front.
+  size_t tuples_sorted = 0;
   /// Non-empty strata of the minimal stratification this run scheduled.
   size_t strata = 0;
   /// Static termination verdict of the program

@@ -19,6 +19,21 @@ using datalog::Rule;
 /// the probes it saves.
 constexpr size_t kAutoMergeMinWindow = 32;
 
+/// First entry in [from, end) that is >= target, over an ascending
+/// tuple-index list: gallops forward from `from`, then binary-searches
+/// the bracket, so a monotone sequence of seeks costs O(log gap) each.
+const uint32_t* GallopTo(const uint32_t* from, const uint32_t* end,
+                         uint32_t target) {
+  const size_t n = static_cast<size_t>(end - from);
+  size_t lo = 0;
+  size_t step = 1;
+  while (lo + step < n && from[lo + step] < target) {
+    lo += step;
+    step *= 2;
+  }
+  return std::lower_bound(from + lo, from + std::min(lo + step, n), target);
+}
+
 /// Backtracking join over the positive body, with negated atoms checked
 /// once their variables are bound (rule safety guarantees this happens
 /// after all positive atoms).
@@ -65,6 +80,15 @@ class Matcher {
         options_.deadline != std::chrono::steady_clock::time_point{};
     Recurse(0);
     return status_;
+  }
+
+  /// Re-arms a planned matcher for another Run with a fresh seed. The
+  /// seed must bind the same variables in the same order as the one
+  /// the plan was made with (AtomProbe's contract), so the plan holds.
+  void Reseed(const Binding& seed) {
+    binding_ = seed;
+    status_ = Status::OK();
+    merge_active_ = false;
   }
 
   /// Mirrors the depth-0 access-path choice of EnumerateCandidates and
@@ -784,12 +808,14 @@ class Matcher {
     // Collect the posting ranges for the bound positions, keeping the
     // two shortest: candidates come from their sorted intersection,
     // which prunes far more than scanning one list and re-checking.
+    // Only indices below `end` are read, so a permutation synced past
+    // the window is used as is.
     SortedRange shortest, second;
     bool have_shortest = false, have_second = false;
     for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
       Term val = binding_.Apply(atom.args[pos]);
       if (val.IsVariable()) continue;
-      SortedRange p = rel->Postings(pos, val);
+      SortedRange p = rel->Postings(pos, val, end);
       if (p.empty()) return true;  // some bound position has no fact
       if (!have_shortest || p.size() < shortest.size()) {
         if (have_shortest) {
@@ -815,19 +841,16 @@ class Matcher {
           if (!try_tuple(*it)) return false;
         }
       } else {
-        const uint32_t* jt =
-            std::lower_bound(second.begin(), second.end(),
-                             static_cast<uint32_t>(begin));
-        while (it != shortest.end() && jt != second.end() && *it < end) {
-          if (*it < *jt) {
-            ++it;
-          } else if (*jt < *it) {
-            ++jt;
-          } else {
-            if (!try_tuple(*it)) return false;
-            ++it;
-            ++jt;
-          }
+        // Walk the shorter list and gallop the longer one to each of
+        // its entries: O(|shortest| log gap) instead of a linear walk
+        // of the long list.
+        const uint32_t* jt = second.begin();
+        for (; it != shortest.end() && *it < end; ++it) {
+          jt = GallopTo(jt, second.end(), *it);
+          if (jt == second.end()) break;
+          if (*jt != *it) continue;
+          if (!try_tuple(*it)) return false;
+          ++jt;
         }
       }
       return true;
@@ -1011,6 +1034,60 @@ bool HasMatch(const std::vector<datalog::Atom>& atoms,
     return false;  // stop at first witness
   }));
   return found;
+}
+
+namespace {
+
+Rule ProbeRule(const Atom& atom) {
+  Rule probe;
+  probe.body = {atom};
+  probe.body[0].negated = false;
+  return probe;
+}
+
+MatchOptions ProbeOptions(const Binding* seed, size_t window_end) {
+  MatchOptions options;
+  options.seed = seed;
+  options.atom_end = {window_end};
+  return options;
+}
+
+}  // namespace
+
+struct AtomProbe::Impl {
+  Impl(const Atom& atom, const Instance& instance, const Binding& prototype,
+       size_t window_end)
+      : rule(ProbeRule(atom)),
+        seed(prototype),
+        options(ProbeOptions(&seed, window_end)),
+        stop_at_first([this](const Match&) {
+          found = true;
+          return false;  // stop at first witness
+        }),
+        matcher(rule, instance, options, stop_at_first) {}
+
+  // Declaration order is construction order: the matcher holds
+  // references to every member above it.
+  Rule rule;
+  Binding seed;
+  MatchOptions options;
+  bool found = false;
+  std::function<bool(const Match&)> stop_at_first;
+  Matcher matcher;
+};
+
+AtomProbe::AtomProbe(const Atom& atom, const Instance& instance,
+                     const Binding& prototype, size_t window_end)
+    : impl_(std::make_unique<Impl>(atom, instance, prototype, window_end)) {}
+
+AtomProbe::~AtomProbe() = default;
+
+bool AtomProbe::HasMatch(const Binding& seed) {
+  impl_->found = false;
+  impl_->matcher.Reseed(seed);
+  // The probe body is one positive atom, so the run cannot fail.
+  TRIQ_IGNORE_STATUS(impl_->matcher.Run());
+  return impl_->found;
 }
 
 }  // namespace triq::chase

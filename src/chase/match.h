@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -199,9 +200,34 @@ Status MatchBody(const datalog::Rule& rule, const Instance& instance,
                  const std::function<bool(const Match&)>& fn);
 
 /// Convenience: true iff the conjunction of (positive) `atoms` has at
-/// least one homomorphism into `instance` extending `seed`.
+/// least one homomorphism into `instance` extending `seed`. Plans the
+/// join on every call; the restricted chase uses it only for
+/// multi-atom existential heads (single-atom heads go through
+/// AtomProbe).
 bool HasMatch(const std::vector<datalog::Atom>& atoms,
               const Instance& instance, const Binding& seed);
+
+/// HasMatch for one positive atom, planned once and re-seeded per
+/// call: true iff some fact with tuple index below `window_end` matches
+/// `atom` extending `seed`. Every seed must bind the same variables in
+/// the same order as the `prototype` the probe was planned with. The
+/// window lets the probe ignore facts appended after construction, and
+/// its posting reads stay on the permutation prefix synced for that
+/// window (Relation::Postings), so a growing relation is not re-indexed
+/// per call. The restricted chase builds one per pass of a
+/// single-head-atom existential rule.
+class AtomProbe {
+ public:
+  AtomProbe(const datalog::Atom& atom, const Instance& instance,
+            const Binding& prototype, size_t window_end);
+  ~AtomProbe();
+
+  bool HasMatch(const Binding& seed);
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 /// Renders the join plan MatchBody would execute for (rule, instance,
 /// options): one line per positive body atom in join order with its

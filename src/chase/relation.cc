@@ -35,6 +35,9 @@ auto ByValueThenIndex(const Term* column) {
 // paths, and each layer may open its own scope.
 thread_local int tls_parallel_pass_depth = 0;
 
+// See TuplesSortedOnThisThread.
+thread_local uint64_t tls_tuples_sorted = 0;
+
 }  // namespace
 
 ParallelPassScope::ParallelPassScope(bool active) : active_(active) {
@@ -46,6 +49,8 @@ ParallelPassScope::~ParallelPassScope() {
 }
 
 bool InParallelPass() { return tls_parallel_pass_depth > 0; }
+
+uint64_t TuplesSortedOnThisThread() { return tls_tuples_sorted; }
 
 const uint32_t* SortedRange::SeekValue(const uint32_t* from, Term v) const {
   // Gallop: bracket the target with doubling steps from `from`, then
@@ -221,13 +226,16 @@ void Relation::SyncSorted(uint32_t pos) const {
   }
   for (uint32_t idx = promoted; idx < count_; ++idx) perm[idx] = idx;
   std::sort(perm.begin() + promoted, perm.end(), by_value);
+  tls_tuples_sorted += count_ - promoted;
   if (promoted > synced && promoted < count_) {
     std::inplace_merge(perm.begin() + synced, perm.begin() + promoted,
                        perm.end(), by_value);
+    tls_tuples_sorted += count_ - synced;
   }
   if (synced > 0) {
     std::inplace_merge(perm.begin(), perm.begin() + synced, perm.end(),
                        by_value);
+    tls_tuples_sorted += count_;
   }
 }
 
@@ -239,8 +247,14 @@ SortedRange Relation::Sorted(uint32_t position) const {
                      ColumnData(position));
 }
 
-SortedRange Relation::Postings(uint32_t position, Term value) const {
-  return Sorted(position).Equal(value);
+SortedRange Relation::Postings(uint32_t position, Term value,
+                               size_t window_end) const {
+  assert(position < arity_);
+  const std::vector<uint32_t>& perm = sorted_[position].perm;
+  if (window_end > perm.size()) SyncSorted(position);
+  return SortedRange(perm.data(), perm.data() + perm.size(),
+                     ColumnData(position))
+      .Equal(value);
 }
 
 void Relation::FreezeIndexes() const {
@@ -272,6 +286,7 @@ void Relation::SortWindow(uint32_t position, uint32_t begin, uint32_t end,
   out->reserve(end - begin);
   for (uint32_t idx = begin; idx < end; ++idx) out->push_back(idx);
   std::sort(out->begin(), out->end(), ByValueThenIndex(ColumnData(position)));
+  tls_tuples_sorted += end - begin;
   index.window_perm = *out;
   index.window_begin = begin;
   index.window_end = end;
@@ -361,9 +376,11 @@ const std::vector<uint32_t>& Relation::LexPerm(
     return a < b;
   };
   std::sort(perm.begin() + synced, perm.end(), by_lex);
+  tls_tuples_sorted += count_ - synced;
   if (synced > 0) {
     std::inplace_merge(perm.begin(), perm.begin() + synced, perm.end(),
                        by_lex);
+    tls_tuples_sorted += count_;
   }
   return perm;
 }

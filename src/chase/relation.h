@@ -191,6 +191,14 @@ class ParallelPassScope {
 /// True while the calling thread is inside an active ParallelPassScope.
 bool InParallelPass();
 
+/// Tuples the calling thread has sorted or merged into permutation
+/// indexes so far (Relation::SyncSorted, SortWindow and LexPerm; a sort
+/// or merge over n entries counts n). The index-maintenance work
+/// counter: index builds run on the scheduling thread only (the
+/// frozen-index contract), so the difference across a chase run is a
+/// deterministic measure of its sort work (ChaseStats::tuples_sorted).
+uint64_t TuplesSortedOnThisThread();
+
 /// Asserts the frozen-index contract at an index-mutation site: building
 /// `what` during a sharded parallel pass means FreezeIndex/FreezeLex was
 /// skipped for a (relation, position) the join plan probes — a data race
@@ -332,7 +340,16 @@ class Relation {
   /// Tuple indices (ascending) whose `position`-th term equals `value` —
   /// the Equal() slice of Sorted(position). Empty range when no fact
   /// matches.
-  SortedRange Postings(uint32_t position, Term value) const;
+  ///
+  /// Window-aware read: a caller that only looks at tuple indices below
+  /// `window_end` gets a list complete over [0, window_end), and the
+  /// permutation is synced only when the window reaches past its synced
+  /// prefix (a synced permutation covers exactly [0, synced)). The list
+  /// may then hold indices >= window_end, which the caller clamps. A
+  /// probe stream capped at a fixed size while the relation grows (the
+  /// restricted chase's head checks) thus syncs once, not per insert.
+  SortedRange Postings(uint32_t position, Term value,
+                       size_t window_end = SIZE_MAX) const;
 
   /// Writes the permutation of the tuple-index window [begin, end) into
   /// `out`, ordered by (column value at `position`, tuple index). This is

@@ -231,6 +231,65 @@ TEST(MergeJoinMatchTest, StrategiesRespectDeltaAndAtomEndWindows) {
   }
 }
 
+TEST(MergeJoinMatchTest, GallopingPostingIntersectionUnderWindows) {
+  // Two e(x, y, w) facts per i < 10,000. The first has x = a (a 10k
+  // posting list) and y = b at three i, y = c at the last i; the second
+  // has x = d on even i and y = m on multiples of 3, a denser pair whose
+  // intersection is every sixth i. Seeding x and y makes the matcher
+  // intersect the two posting lists, galloping the longer; the windows
+  // start and end inside both lists.
+  constexpr int kTuples = 10000;
+  auto dict = Dict();
+  chase::Instance db(dict);
+  for (int i = 0; i < kTuples; ++i) {
+    std::string y = "y" + std::to_string(i);
+    if (i == 2500 || i == 6000 || i == 9100) y = "b";
+    if (i == kTuples - 1) y = "c";
+    db.AddFact("e", {"a", y, "w" + std::to_string(i)});
+    db.AddFact("e", {i % 2 == 0 ? "d" : "o" + std::to_string(i),
+                     i % 3 == 0 ? "m" : "n" + std::to_string(i),
+                     "w" + std::to_string(i)});
+  }
+  const chase::Relation* rel = db.Find("e");
+  ASSERT_NE(rel, nullptr);
+  datalog::Rule rule = ParseR("e(?X, ?Y, ?W) -> p(?W)", dict.get());
+  const datalog::Term x = rule.body[0].args[0];
+  const datalog::Term y = rule.body[0].args[1];
+  auto constant = [&](const char* name) {
+    return chase::Term::Constant(dict->Intern(name));
+  };
+  const std::pair<size_t, size_t> windows[] = {
+      {0, 2 * kTuples},    {4000, 12001},  {5001, 18200},
+      {12000, 12001},      {18201, 2 * kTuples}, {3, 5},
+  };
+  for (auto [xv, yv] : {std::pair{"a", "b"}, std::pair{"a", "c"},
+                        std::pair{"d", "m"}, std::pair{"d", "b"}}) {
+    chase::Binding seed;
+    seed.Bind(x, constant(xv));
+    seed.Bind(y, constant(yv));
+    for (auto [begin, end] : windows) {
+      chase::MatchOptions automatic;
+      automatic.seed = &seed;
+      automatic.delta_body_index = 0;
+      automatic.delta_begin = begin;
+      automatic.delta_end = end;
+      chase::MatchOptions binary = automatic;
+      binary.join_strategy = chase::JoinStrategy::kBinary;
+      // Independent oracle: a scan of the window.
+      size_t scanned = 0;
+      for (size_t i = begin; i < std::min(end, rel->size()); ++i) {
+        chase::TupleView t = rel->tuple(i);
+        if (t[0] == constant(xv) && t[1] == constant(yv)) ++scanned;
+      }
+      auto expected = MatchFingerprint(rule, db, binary);
+      EXPECT_EQ(expected.size(), scanned)
+          << xv << "," << yv << " window [" << begin << ", " << end << ")";
+      EXPECT_EQ(MatchFingerprint(rule, db, automatic), expected)
+          << xv << "," << yv << " window [" << begin << ", " << end << ")";
+    }
+  }
+}
+
 /// Generates a random plain-Datalog program with stratified negation
 /// over a small schema, plus a random database (the property_test
 /// generator shape, denser so merge paths engage).
