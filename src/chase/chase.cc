@@ -286,9 +286,8 @@ class ChaseRun {
     if (deadline_set_) effective.deadline = options_.deadline;
 
     const bool fast = existentials.empty() && !options_.track_provenance;
-    DriverPlan plan;
-    const size_t num_shards =
-        pool_ == nullptr ? 1 : PlanShards(rule, effective, &plan);
+    const JoinPlan plan(rule, *instance_, effective);
+    const size_t num_shards = pool_ == nullptr ? 1 : PlanShards(plan);
     // Sharded single-head fast rules take the fully parallel commit:
     // workers precompute dedup hashes and BatchInserter runs the probe
     // phases across the pool.
@@ -298,19 +297,18 @@ class ChaseRun {
     // Members, reset rather than reconstructed, so buffer capacity
     // persists across passes.
     if (stages_.size() < num_shards) stages_.resize(num_shards);
+    const size_t total = plan.driver_size();
     if (num_shards == 1) {
-      MatchInto(rule, effective, fast, hash_arity, &stages_[0]);
+      MatchInto(rule, plan, 0, total, fast, hash_arity, &stages_[0]);
     } else {
       pool_->ParallelFor(num_shards, [&](size_t s) {
-        size_t total = plan.order.size();
-        size_t begin = total * s / num_shards;
-        size_t end = total * (s + 1) / num_shards;
-        MatchOptions mo = effective;
-        mo.driver_order = plan.order.data() + begin;
-        mo.driver_order_size = end - begin;
-        mo.driver_sorted = plan.sorted;
-        mo.driver_body_index = plan.body_index;
-        MatchInto(rule, mo, fast, hash_arity, &stages_[s]);
+        // Every index the plan reads was frozen by PlanShards: let the
+        // index builders assert the frozen-index contract
+        // (TRIQ_DCHECK_FROZEN) on any mutable build.
+        ParallelPassScope parallel_scope(true);
+        MatchInto(rule, plan, total * s / num_shards,
+                  total * (s + 1) / num_shards, fast, hash_arity,
+                  &stages_[s]);
       });
     }
 
@@ -407,55 +405,43 @@ class ChaseRun {
     return check.probe->HasMatch(check.seed);
   }
 
-  /// Plans a pooled pass's shards: splits PlanMatchDriver's depth-0
-  /// visit order into contiguous slices whose concatenated match
-  /// streams equal the unsharded stream (the DriverPlan contract).
-  /// Returns 1 when the pass is too small to shard; otherwise freezes
-  /// exactly the lazy sorted indexes the join plan can probe, so from
-  /// there to the end of the fan-out matching is read-only on the
-  /// instance. (Freezing whole relations instead would eagerly maintain
-  /// permutations the join never reads — a full-relation merge per pass
-  /// on linear rules.)
-  size_t PlanShards(const Rule& rule, const MatchOptions& options,
-                    DriverPlan* plan) {
-    *plan = PlanMatchDriver(rule, *instance_, options);
-    if (plan->body_index < 0) return 1;
+  /// Splits a pooled pass into shards: contiguous slices of the plan's
+  /// depth-0 order, whose concatenated match streams equal the unsharded
+  /// stream (the JoinPlan sharding contract). Returns 1 when the pass is
+  /// too small to shard; otherwise freezes exactly the lazy indexes the
+  /// plan reads, so from there to the end of the fan-out matching is
+  /// read-only on the instance.
+  size_t PlanShards(const JoinPlan& plan) {
     size_t max_shards = (pool_->num_workers() + 1) * kShardsPerThread;
     size_t num_shards =
-        std::min(max_shards, plan->order.size() / kMinDriverPerShard);
+        std::min(max_shards, plan.driver_size() / kMinDriverPerShard);
     if (num_shards < 2) return 1;
-    for (const auto& [pred, pos] : plan->probe_index_pairs) {
-      const Relation* rel = instance_->Find(pred);
-      if (rel != nullptr && pos < rel->arity()) rel->FreezeIndex(pos);
-    }
-    for (const auto& [pred, key] : plan->lex_index_pairs) {
-      const Relation* rel = instance_->Find(pred);
-      if (rel != nullptr) rel->FreezeLex(key);
-    }
+    plan.FreezeIndexes();
     return num_shards;
   }
 
-  /// Matches one shard (or the whole unsharded pass) into `stage`: the
-  /// one match-and-stage callback, polling the deadline every 1024
-  /// matches. Safe to run concurrently for distinct stages once
-  /// PlanShards has frozen the probed indexes.
-  void MatchInto(const Rule& rule, const MatchOptions& options, bool fast,
-                 int hash_arity, ShardStage* stage) const {
+  /// Matches the slice [begin, end) of the plan's depth-0 order (one
+  /// shard, or the whole unsharded pass) into `stage`: the one
+  /// match-and-stage callback, polling the deadline every 1024 matches.
+  /// Safe to run concurrently for distinct stages once PlanShards has
+  /// frozen the probed indexes.
+  void MatchInto(const Rule& rule, const JoinPlan& plan, size_t begin,
+                 size_t end, bool fast, int hash_arity,
+                 ShardStage* stage) const {
     ResetStage(stage);
     Status deadline_status = Status::OK();
     size_t since_check = 0;
-    stage->status =
-        MatchBody(rule, *instance_, options, [&](const Match& match) {
-          if (deadline_set_ && (++since_check & 1023u) == 0 &&
-              DeadlineExpired()) {
-            deadline_status = DeadlineError();
-            return false;
-          }
-          StageMatch(rule, match, fast, hash_arity, stage);
-          return true;
-        });
-    // An early callback stop makes MatchBody return OK; keep the
-    // deadline error instead.
+    stage->status = plan.Run(begin, end, [&](const Match& match) {
+      if (deadline_set_ && (++since_check & 1023u) == 0 &&
+          DeadlineExpired()) {
+        deadline_status = DeadlineError();
+        return false;
+      }
+      StageMatch(rule, match, fast, hash_arity, stage);
+      return true;
+    });
+    // An early callback stop makes the run return OK; keep the deadline
+    // error instead.
     if (stage->status.ok()) stage->status = deadline_status;
   }
 
@@ -702,7 +688,7 @@ std::string ExplainProgramPlans(const datalog::Program& program,
   for (const Rule& rule : program.rules()) {
     out += "rule " + std::to_string(i++) + ": " +
            datalog::RuleToString(rule, instance.dict()) + "\n";
-    out += ExplainMatchPlan(rule, instance, mo);
+    out += JoinPlan(rule, instance, mo).Explain();
     out += "\n";
   }
   return out;

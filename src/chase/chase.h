@@ -54,19 +54,20 @@ struct ChaseOptions {
   /// the written-order binary plan. Both fix the same instance.
   JoinStrategy join_strategy = JoinStrategy::kAuto;
 
-  /// Number of threads the chase may use for its match passes. 1 (the
-  /// default) is the unsharded single-threaded executor; N > 1 spawns a
-  /// work-stealing pool of N-1 workers (the calling thread participates)
-  /// and splits every large-enough pass's depth-0 window into
-  /// tuple-index-range shards matched concurrently into thread-local
-  /// staging buffers, then merge-committed in shard order.
+  /// Number of threads the chase may use for its match passes. Every
+  /// pass is planned once (a JoinPlan, match.h). 1 (the default) runs
+  /// the plan whole on the calling thread; N > 1 spawns a work-stealing
+  /// pool of N-1 workers (the calling thread participates) and splits
+  /// every large-enough pass's depth-0 visit order into contiguous
+  /// slices, run concurrently against the one shared plan into
+  /// thread-local staging buffers, then merge-committed in slice order.
   ///
   /// Determinism guarantee: the concatenated shard match stream equals
-  /// the single-threaded stream (see DriverPlan in match.h), and commits
-  /// replay it in that order on the scheduling thread — so the resulting
-  /// instance (tuple order, null identities) and every ChaseStats
-  /// counter except the diagnostic `sharded_passes` are bit-identical
-  /// for every value of num_threads.
+  /// the single-threaded stream (the JoinPlan sharding contract), and
+  /// commits replay it in that order on the scheduling thread — so the
+  /// resulting instance (tuple order, null identities) and every
+  /// ChaseStats counter except the diagnostic `sharded_passes` and
+  /// `tuples_sorted` are bit-identical for every value of num_threads.
   size_t num_threads = 1;
 
   /// Safety caps. Exceeding max_facts aborts with ResourceExhausted;
@@ -149,7 +150,7 @@ Status ResumeChase(const datalog::Program& program, Instance* instance,
 
 /// Renders the join plan of every rule of `program` (constraints
 /// included) against the current `instance`, one block per rule: the
-/// rule itself, then ExplainMatchPlan's order / access-path /
+/// rule itself, then JoinPlan::Explain's order / access-path /
 /// estimated-cardinality lines. The plans shown are the ones a full
 /// (round-0) evaluation pass would execute with `options`'s join
 /// strategy — delta passes re-plan per window, so per-round plans can

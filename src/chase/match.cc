@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 
 #include "datalog/atom.h"
 
 namespace triq::chase {
 
-namespace {
-
 using datalog::Atom;
 using datalog::Rule;
+
+namespace {
 
 /// kAuto engages the merge path only when the driver window has at
 /// least this many tuples; below it, sorting the window costs more than
@@ -34,496 +33,590 @@ const uint32_t* GallopTo(const uint32_t* from, const uint32_t* end,
   return std::lower_bound(from + lo, from + std::min(lo + step, n), target);
 }
 
-/// Backtracking join over the positive body, with negated atoms checked
-/// once their variables are bound (rule safety guarantees this happens
-/// after all positive atoms).
-///
-/// The join order and each atom's access path are planned once up
-/// front, and both depend only on *which* variables are bound at each
-/// depth plus per-relation statistics — never on bound values — so the
-/// plan is identical across all branches of the search and across
-/// thread counts. The delta atom is pinned first (its window drives
-/// the pass); under kAuto each later depth takes the atom with the
-/// smallest estimated match count given the variables bound so far —
-/// window size divided by the estimated distinct count
-/// (Relation::EstimatedDistinct) of every bound position — while
-/// kBinary keeps the written order. On top of the order the planner
-/// picks access paths (see JoinStrategy): a leapfrog-triejoin residual
-/// when kAuto calls for it (the driver enumerates as usual; the
-/// remaining atoms are joined variable-at-a-time over lexicographic
-/// permutations with galloping seeks), else a depth-1 merge cursor
-/// when the first two atoms share a variable, with per-binding posting
-/// probes — binary-searched Equal() ranges, intersecting the two
-/// shortest — as the fallback everywhere deeper.
-class Matcher {
- public:
-  Matcher(const Rule& rule, const Instance& instance,
-          const MatchOptions& options,
-          const std::function<bool(const Match&)>& fn)
-      : rule_(rule), instance_(instance), options_(options), fn_(fn) {
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (rule.body[i].negated) {
-        negative_.push_back(&rule.body[i]);
-      } else {
-        positive_.push_back(static_cast<int>(i));
-      }
-    }
-    // positive_ is built in body order, so slot order == body order and
-    // refs_ can be handed to the callback without re-sorting.
-    refs_.resize(positive_.size());
-    if (options.seed != nullptr) binding_ = *options.seed;
-    PlanJoin();
-  }
+/// How a join step reads its atom's relation (see JoinPlan).
+enum class Access : uint8_t {
+  kScan,         // the whole window, ascending tuple index
+  kSortedScan,   // depth 0: the window in value order of column `pos`
+  kPostings,     // the bound positions' posting lists, intersected
+  kFindIndex,    // every position bound: one dedup-table lookup
+  kMergeCursor,  // depth 1: a galloping cursor over column `pos`
+  kLeapfrog,     // below the driver: one leapfrog triejoin per binding
+};
 
-  Status Run() {
-    deadline_set_ =
-        options_.deadline != std::chrono::steady_clock::time_point{};
-    Recurse(0);
-    return status_;
-  }
+/// One join step: the atom enumerated at this depth, its relation (null
+/// when absent or of another arity: no candidates), its window clamped
+/// to the relation, and its access path.
+struct Step {
+  int slot = -1;  // positive-atom index (= body order of the refs)
+  const Atom* atom = nullptr;
+  const Relation* rel = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
+  Access access = Access::kScan;
+  uint32_t pos = 0;  // the kSortedScan / kMergeCursor column
+};
 
-  /// Re-arms a planned matcher for another Run with a fresh seed. The
-  /// seed must bind the same variables in the same order as the one
-  /// the plan was made with (AtomProbe's contract), so the plan holds.
-  void Reseed(const Binding& seed) {
-    binding_ = seed;
-    status_ = Status::OK();
-    merge_active_ = false;
-  }
+}  // namespace
 
-  /// Mirrors the depth-0 access-path choice of EnumerateCandidates and
-  /// materializes the exact tuple visit order, so the parallel chase can
-  /// slice it into shards (see DriverPlan in match.h). Must stay in
-  /// lockstep with the depth-0 branches below: any divergence breaks the
-  /// "concatenated shards == unsharded stream" contract.
-  DriverPlan MakeDriverPlan() {
-    DriverPlan out;
-    if (plan_.empty()) return out;
-    const DepthPlan& plan = plan_[0];
-    int slot = plan.slot;
-    const Atom& atom = rule_.body[positive_[slot]];
-    out.body_index = positive_[slot];
-    const Relation* rel = instance_.Find(atom.predicate);
-    if (rel == nullptr || rel->arity() != atom.args.size()) return out;
-    auto [begin, end] = SlotWindow(slot);
-    end = std::min(end, rel->size());
-    if (begin >= end) return out;
-
-    // Bound positions under the seed binding: the unsharded matcher
-    // visits a posting intersection in ascending tuple-index order, so
-    // the shortest window-clamped posting list is an ascending superset
-    // with the same relative order (shards re-unify every position).
-    SortedRange shortest;
-    bool have_bound = false;
-    for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-      Term val = binding_.Apply(atom.args[pos]);
-      if (val.IsVariable()) continue;
-      SortedRange p = rel->Postings(pos, val);
-      if (p.empty()) return out;  // some bound position has no fact
-      if (!have_bound || p.size() < shortest.size()) shortest = p;
-      have_bound = true;
-    }
-    if (have_bound) {
-      const uint32_t* it = std::lower_bound(
-          shortest.begin(), shortest.end(), static_cast<uint32_t>(begin));
-      for (; it != shortest.end() && *it < end; ++it) out.order.push_back(*it);
-      CollectProbePairs(&out);
-      return out;
-    }
-
-    if (SortedDriverReady(end - begin)) {
-      rel->SortWindow(plan.driver_pos, static_cast<uint32_t>(begin),
-                      static_cast<uint32_t>(end), &out.order);
-      out.sorted = true;
-    } else {
-      out.order.reserve(end - begin);
-      for (uint32_t idx = static_cast<uint32_t>(begin); idx < end; ++idx) {
-        out.order.push_back(idx);
-      }
-    }
-    CollectProbePairs(&out);
-    return out;
-  }
-
-  /// Records every (predicate, position) whose sorted permutation a
-  /// depth >= 1 step may read: posting probes on positions bound by
-  /// then, and the depth-1 merge cursor. Atoms fully bound at their
-  /// depth resolve through the dedup table (FindIndex), which needs no
-  /// permutation — unless the merge cursor reads them anyway.
-  void CollectProbePairs(DriverPlan* out) const {
-    if (lftj_) {
-      // Below the driver the leapfrog residual reads lex permutations;
-      // a single-position key aliases the sorted permutation, so it is
-      // frozen through probe_index_pairs like any probe. Fully
-      // restricted atoms resolve through the dedup table (no index).
-      for (const LfAtom& a : lf_atoms_) {
-        if (a.rel == nullptr || a.fully_restricted) continue;
-        if (a.key.size() == 1) {
-          out->probe_index_pairs.emplace_back(a.atom->predicate, a.key[0]);
-        } else {
-          out->lex_index_pairs.emplace_back(a.atom->predicate, a.key);
-        }
-      }
-      return;
-    }
-    for (size_t depth = 1; depth < plan_.size(); ++depth) {
-      const Atom& atom = rule_.body[positive_[plan_[depth].slot]];
-      size_t num_bound = 0;
-      for (Term t : atom.args) {
-        if (BoundAt(depth, t)) ++num_bound;
-      }
-      bool fully_ground = num_bound == atom.args.size() && !atom.args.empty();
-      if (!fully_ground) {
-        for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-          if (BoundAt(depth, atom.args[pos])) {
-            out->probe_index_pairs.emplace_back(atom.predicate, pos);
-          }
-        }
-      }
-      if (plan_[depth].merge_cursor) {
-        out->probe_index_pairs.emplace_back(atom.predicate,
-                                            plan_[depth].cursor_pos);
-      }
-    }
-  }
-
-  /// Renders the planned join: strategy, then one line per atom in join
-  /// order with its access path and the estimate the planner ranked it
-  /// by (under the boundness PlanJoin recorded for its depth).
-  std::string Explain() {
-    std::string out = "  strategy: ";
-    if (lftj_) {
-      out += "leapfrog";
-    } else if (plan_.size() >= 2 && plan_[1].merge_cursor) {
-      out += "merge";
-    } else {
-      out += "hash";
-    }
-    out += options_.join_strategy == JoinStrategy::kBinary ? " (binary)\n"
-                                                            : " (auto)\n";
-    for (size_t depth = 0; depth < plan_.size(); ++depth) {
-      int slot = plan_[depth].slot;
-      const Atom& atom = rule_.body[positive_[slot]];
-      size_t num_bound = 0;
-      size_t size = 0;
-      double est = EstimateAtom(
-          slot, [&](Term t) { return BoundAt(depth, t); }, &num_bound, &size);
-      std::string access;
-      if (depth == 0) {
-        access = positive_[slot] == options_.delta_body_index
-                     ? "delta-scan"
-                     : "scan";
-        if (num_bound > 0) {
-          access = "postings";
-        } else if (plan_[depth].sorted_driver) {
-          access = "sorted-scan(pos " +
-                   std::to_string(plan_[depth].driver_pos) + ")";
-        }
-      } else if (lftj_) {
-        const LfAtom& a = lf_atoms_[depth - 1];
-        if (a.fully_restricted) {
-          access = "find-index";
-        } else {
-          access = "leapfrog[";
-          for (size_t i = 0; i < a.key.size(); ++i) {
-            if (i > 0) access += ",";
-            access += std::to_string(a.key[i]);
-          }
-          access += "]";
-        }
-      } else if (plan_[depth].merge_cursor) {
-        access = "merge-cursor(pos " +
-                 std::to_string(plan_[depth].cursor_pos) + ")";
-      } else if (num_bound == atom.args.size() && !atom.args.empty()) {
-        access = "find-index";
-      } else if (num_bound > 0) {
-        access = "postings";
-      } else {
-        access = "scan";
-      }
-      char est_buf[32];
-      std::snprintf(est_buf, sizeof(est_buf), "%.3g", est);
-      out += "  " + std::to_string(depth) + ": " +
-             AtomToString(atom, instance_.dict()) + "  " + access +
-             "  rows~" + est_buf + " (window " + std::to_string(size) +
-             ")\n";
-    }
-    return out;
-  }
-
- private:
-  /// One planned join step: the slot to enumerate at this depth and the
-  /// access path chosen for it.
-  struct DepthPlan {
-    int slot = -1;
-    /// Depth 0 only: enumerate the window ordered by the value of
-    /// column `driver_pos` (enables the cursor below).
-    bool sorted_driver = false;
-    uint32_t driver_pos = 0;
-    /// Depth 1 only: the driver feeds this atom nondecreasing values of
-    /// the shared variable; read it with a galloping cursor on the
-    /// sorted permutation of column `cursor_pos`.
-    bool merge_cursor = false;
-    uint32_t cursor_pos = 0;
+/// The plan proper. The join order and every access path depend only on
+/// *which* variables are bound at each depth plus per-relation
+/// statistics — never on bound values — so one plan serves every branch
+/// of the search and every shard. The delta atom is pinned first (its
+/// window drives the pass); under kAuto each later depth takes the atom
+/// with the smallest estimated match count given the variables bound so
+/// far, while kBinary keeps the written order. On top of the order the
+/// planner picks access paths (see JoinStrategy): a leapfrog-triejoin
+/// residual when kAuto calls for it, else a depth-1 merge cursor when
+/// the first two atoms share a variable, with posting probes —
+/// binary-searched Equal() ranges, intersecting the two shortest — or a
+/// dedup-table lookup everywhere else.
+struct JoinPlan::Impl {
+  /// One trie level of a leapfrog atom: the column position it walks,
+  /// the atom argument at that position (a constant or a variable), the
+  /// leapfrog variable index that owns the level (-1 = restricted), and
+  /// the column base pointer (storage never moves during a pass).
+  struct LfLevel {
+    uint32_t pos;
+    Term pattern;
+    int var;
+    const Term* col;
+  };
+  /// One residual atom of the leapfrog plan (the step at depth
+  /// index + 1): its trie key (level positions) and the lex permutation
+  /// it walks.
+  struct LfAtom {
+    std::vector<uint32_t> key;
+    std::vector<LfLevel> levels;
+    size_t num_restricted = 0;
+    bool fully_restricted = false;
+    const std::vector<uint32_t>* perm = nullptr;
+  };
+  /// One occurrence group: `atom`'s levels [level_begin, level_end) all
+  /// carry the same leapfrog variable.
+  struct LfOcc {
+    int atom = 0;
+    uint32_t level_begin = 0;
+    uint32_t level_end = 0;
+  };
+  struct LfVar {
+    Term var;
+    std::vector<LfOcc> occs;
   };
 
-  /// Computes the join order (hoisting the most-bound-first heuristic
-  /// out of the recursion), records which variables each depth sees
-  /// bound, and assigns access paths.
-  void PlanJoin() {
-    plan_.resize(positive_.size());
-    bound_before_.assign(positive_.size() + 1, 0);
-    std::vector<bool> used(positive_.size(), false);
-    if (options_.seed != nullptr) {
-      for (const auto& [var, val] : options_.seed->entries()) {
-        bind_order_.push_back(var);
-      }
-    }
-    for (size_t depth = 0; depth < positive_.size(); ++depth) {
-      bound_before_[depth] = bind_order_.size();
-      int slot = PickNextAtom(used, [&](Term t) { return BoundAt(depth, t); });
-      plan_[depth].slot = slot;
-      used[slot] = true;
-      for (Term t : rule_.body[positive_[slot]].args) {
-        if (t.IsVariable() && std::find(bind_order_.begin(), bind_order_.end(),
-                                        t) == bind_order_.end()) {
-          bind_order_.push_back(t);
-        }
-      }
-    }
-    bound_before_[positive_.size()] = bind_order_.size();
-    if (plan_.size() < 2) return;
-    if (ShouldLeapfrog()) {
-      PlanLeapfrog();
-      return;
-    }
-    // Merge join needs a driver that full-scans its window (no bound
-    // argument — probes would enumerate in tuple-index order) and a
-    // second atom sharing one of the driver's variables. The shared
-    // variable must be bound at its first occurrence in the driver, so
-    // its bind order follows the sorted column.
-    const Atom& a0 = rule_.body[positive_[plan_[0].slot]];
-    for (Term t : a0.args) {
-      if (BoundAt(0, t)) return;
-    }
-    const Atom& a1 = rule_.body[positive_[plan_[1].slot]];
-    for (uint32_t p = 0; p < a0.args.size(); ++p) {
-      Term var = a0.args[p];
-      bool first_occurrence = true;
-      for (uint32_t q = 0; q < p; ++q) {
-        if (a0.args[q] == var) first_occurrence = false;
-      }
-      if (!first_occurrence) continue;
-      for (uint32_t q = 0; q < a1.args.size(); ++q) {
-        if (a1.args[q] != var) continue;
-        plan_[0].sorted_driver = true;
-        plan_[0].driver_pos = p;
-        plan_[1].merge_cursor = true;
-        plan_[1].cursor_pos = q;
-        return;
-      }
-    }
-  }
+  Impl(const Rule& rule, const Instance& instance,
+       const MatchOptions& options);
 
   /// Whether `t` is a constant or a variable bound before the atom at
   /// `depth` is enumerated (seed variables, then every variable of the
-  /// atoms at shallower depths) — PlanJoin's value-independent record,
-  /// which every reader of the plan shares.
+  /// atoms at shallower depths).
   bool BoundAt(size_t depth, Term t) const {
     if (!t.IsVariable()) return true;
-    auto end = bind_order_.begin() + bound_before_[depth];
-    return std::find(bind_order_.begin(), end, t) != end;
+    auto end = bind_order.begin() + bound_before[depth];
+    return std::find(bind_order.begin(), end, t) != end;
   }
 
-  /// Whether the depth-0 driver enumerates its `window`-tuple scan in
-  /// value order, feeding the depth-1 merge cursor. kBinary sorts
-  /// whenever the plan has a merge cursor; kAuto only once the window
-  /// amortizes the sort. Opens the cursor as a side effect; false when
-  /// the second atom has no usable relation.
-  bool SortedDriverReady(size_t window) {
-    return plan_[0].sorted_driver &&
-           (options_.join_strategy == JoinStrategy::kBinary ||
-            window >= kAutoMergeMinWindow) &&
-           SetUpCursor();
+  uint32_t DriverTuple(size_t i) const {
+    return driver_order.empty() ? static_cast<uint32_t>(driver_first + i)
+                                : driver_order[i];
   }
 
-  /// Estimated number of matching tuples for slot `i` per intermediate
-  /// binding, given which variables are bound: the atom's effective
-  /// window size divided by the estimated distinct count of every
-  /// statically-bound position (the Trident/RDF-3X
-  /// selectivity-from-index-statistics model, read off the O(1)
-  /// per-position sketches so estimating never syncs an index). Value-
-  /// independent, hence identical across strategies and thread counts.
-  /// A fully bound atom caps at one row — it resolves through the dedup
-  /// table. Also reports the bound-position count and window size for
-  /// the deterministic tie-breaks.
-  template <typename BoundFn>
-  double EstimateAtom(int i, const BoundFn& is_bound, size_t* bound_out,
-                      size_t* size_out) const {
-    const Atom& atom = rule_.body[positive_[i]];
-    const Relation* rel = instance_.Find(atom.predicate);
-    bool usable = rel != nullptr && rel->arity() == atom.args.size();
-    size_t size = 0;
-    if (usable) {
-      auto [begin, end] = SlotWindow(i);
-      end = std::min(end, rel->size());
-      size = end > begin ? end - begin : 0;
+  void OrderSteps(const std::vector<Step>& by_slot);
+  int PickNextAtom(const std::vector<Step>& by_slot,
+                   const std::vector<bool>& used, size_t depth) const;
+  void PlanMerge();
+  bool ShouldLeapfrog() const;
+  void PlanLeapfrog();
+  void SettleDriver();
+
+  const Instance& instance;
+  const Binding seed;
+  const bool seeded;
+  const JoinStrategy strategy;
+  const std::chrono::steady_clock::time_point deadline;
+  const int delta_body_index;
+  std::vector<int> positive;  // body indices of positive atoms
+  std::vector<const Atom*> negative;
+  std::vector<Step> steps;            // depth -> step
+  std::vector<Term> bind_order;       // variables in plan binding order
+  std::vector<size_t> bound_before;   // depth -> bound prefix of bind_order
+
+  /// The depth-0 visit order: driver_order when materialized (sorted
+  /// scan, postings, find-index), else the tuple indices
+  /// [driver_first, driver_first + driver_size). Unsettled (read per
+  /// run) only for a seeded plan that probes its first atom.
+  bool settled = true;
+  std::vector<uint32_t> driver_order;
+  size_t driver_first = 0;
+  size_t driver_size = 0;
+  SortedRange cursor_range;  // the merge cursor's sorted permutation
+
+  bool leapfrog = false;     // the residual runs as a leapfrog triejoin
+  bool lf_possible = true;   // false: a residual relation is absent
+  std::vector<LfAtom> lf_atoms;  // depth d >= 1 -> lf_atoms[d - 1]
+  std::vector<LfVar> lf_vars;
+};
+
+namespace {
+
+/// Estimated number of matching tuples for `step`'s atom per
+/// intermediate binding, given which variables are bound: its window
+/// size divided by the estimated distinct count of every bound position
+/// (the Trident/RDF-3X selectivity-from-index-statistics model, read off
+/// the O(1) per-position sketches so estimating never syncs an index).
+/// Value-independent, hence identical across strategies and thread
+/// counts. A fully bound atom caps at one row — it resolves through the
+/// dedup table. Also reports the bound-position count and window size
+/// for the deterministic tie-breaks.
+template <typename BoundFn>
+double EstimateAtom(const Step& step, const BoundFn& is_bound,
+                    size_t* bound_out, size_t* size_out) {
+  const size_t size = step.end > step.begin ? step.end - step.begin : 0;
+  double est = static_cast<double>(size);
+  size_t num_bound = 0;
+  for (uint32_t pos = 0; pos < step.atom->args.size(); ++pos) {
+    if (!is_bound(step.atom->args[pos])) continue;
+    ++num_bound;
+    if (size > 0) est /= std::max(1.0, step.rel->EstimatedDistinct(pos));
+  }
+  if (num_bound == step.atom->args.size() && !step.atom->args.empty()) {
+    est = std::min(est, 1.0);
+  }
+  *bound_out = num_bound;
+  *size_out = size;
+  return est;
+}
+
+/// Calls `fn` on every candidate tuple index of a kPostings or
+/// kFindIndex step under `binding`, in ascending order; false iff `fn`
+/// stopped early. The dedup table answers a fully bound atom in O(1);
+/// otherwise the candidates are the intersection of the two shortest
+/// posting lists of the bound positions. Only indices below the window
+/// end are read, so a permutation synced past the window is used as is.
+template <typename Fn>
+bool ForEachCandidate(const Step& step, const Binding& binding,
+                      Tuple* scratch, const Fn& fn) {
+  const std::vector<Term>& args = step.atom->args;
+  if (step.access == Access::kFindIndex) {
+    scratch->clear();
+    for (Term arg : args) scratch->push_back(binding.Apply(arg));
+    uint32_t idx = step.rel->FindIndex(*scratch);
+    if (idx == Relation::kNotFound || idx < step.begin || idx >= step.end) {
+      return true;
     }
-    double est = static_cast<double>(size);
+    return fn(idx);
+  }
+  SortedRange shortest, second;
+  bool have_shortest = false, have_second = false;
+  for (uint32_t pos = 0; pos < args.size(); ++pos) {
+    Term val = binding.Apply(args[pos]);
+    if (val.IsVariable()) continue;
+    SortedRange p = step.rel->Postings(pos, val, step.end);
+    if (p.empty()) return true;  // some bound position has no fact
+    if (!have_shortest || p.size() < shortest.size()) {
+      if (have_shortest) {
+        second = shortest;
+        have_second = true;
+      }
+      shortest = p;
+      have_shortest = true;
+    } else if (!have_second || p.size() < second.size()) {
+      second = p;
+      have_second = true;
+    }
+  }
+  // Posting entries ascend by tuple index, so the window seek is a
+  // binary search instead of a skip-scan.
+  const uint32_t* it = std::lower_bound(shortest.begin(), shortest.end(),
+                                        static_cast<uint32_t>(step.begin));
+  if (!have_second) {
+    for (; it != shortest.end() && *it < step.end; ++it) {
+      if (!fn(*it)) return false;
+    }
+    return true;
+  }
+  // Walk the shorter list and gallop the longer one to each of its
+  // entries: O(|shortest| log gap) instead of a linear walk of the long
+  // list.
+  const uint32_t* jt = second.begin();
+  for (; it != shortest.end() && *it < step.end; ++it) {
+    jt = GallopTo(jt, second.end(), *it);
+    if (jt == second.end()) break;
+    if (*jt != *it) continue;
+    if (!fn(*it)) return false;
+    ++jt;
+  }
+  return true;
+}
+
+}  // namespace
+
+JoinPlan::Impl::Impl(const Rule& rule, const Instance& inst,
+                     const MatchOptions& options)
+    : instance(inst),
+      seed(options.seed != nullptr ? *options.seed : Binding()),
+      seeded(options.seed != nullptr),
+      strategy(options.join_strategy),
+      deadline(options.deadline),
+      delta_body_index(options.delta_body_index) {
+  std::vector<Step> by_slot;
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    const Atom& atom = rule.body[i];
+    if (atom.negated) {
+      negative.push_back(&atom);
+      continue;
+    }
+    Step step;
+    step.slot = static_cast<int>(positive.size());
+    step.atom = &atom;
+    const Relation* rel = instance.Find(atom.predicate);
+    if (rel != nullptr && rel->arity() == atom.args.size()) {
+      // The window contract of MatchOptions.
+      size_t end = kNoTupleLimit;
+      if (static_cast<int>(i) == options.delta_body_index) {
+        step.begin = options.delta_begin;
+        end = options.delta_end;
+      } else if (i < options.atom_end.size()) {
+        end = options.atom_end[i];
+      }
+      step.rel = rel;
+      step.end = std::min(end, rel->size());
+    }
+    positive.push_back(static_cast<int>(i));
+    by_slot.push_back(step);
+  }
+  OrderSteps(by_slot);
+  for (size_t depth = 0; depth < steps.size(); ++depth) {
+    Step& step = steps[depth];
     size_t num_bound = 0;
+    for (Term t : step.atom->args) num_bound += BoundAt(depth, t) ? 1 : 0;
+    if (num_bound == step.atom->args.size() && num_bound > 0) {
+      step.access = Access::kFindIndex;
+    } else if (num_bound > 0) {
+      step.access = Access::kPostings;
+    }
+  }
+  if (ShouldLeapfrog()) {
+    PlanLeapfrog();
+  } else {
+    PlanMerge();
+  }
+  SettleDriver();
+}
+
+/// Computes the join order and records which variables each depth sees
+/// bound.
+void JoinPlan::Impl::OrderSteps(const std::vector<Step>& by_slot) {
+  bound_before.assign(by_slot.size() + 1, 0);
+  std::vector<bool> used(by_slot.size(), false);
+  for (const auto& [var, val] : seed.entries()) bind_order.push_back(var);
+  for (size_t depth = 0; depth < by_slot.size(); ++depth) {
+    bound_before[depth] = bind_order.size();
+    int slot = PickNextAtom(by_slot, used, depth);
+    used[slot] = true;
+    steps.push_back(by_slot[slot]);
+    for (Term t : steps.back().atom->args) {
+      if (t.IsVariable() && std::find(bind_order.begin(), bind_order.end(),
+                                      t) == bind_order.end()) {
+        bind_order.push_back(t);
+      }
+    }
+  }
+  bound_before[by_slot.size()] = bind_order.size();
+}
+
+// The delta atom is pinned first (its window is the pass's driver).
+// kBinary then takes the atoms in written order; kAuto orders by cost:
+// each depth takes the unprocessed atom with the smallest estimated
+// match count under the variables bound so far. Ties break
+// deterministically: more bound positions, then smaller window, then
+// lower slot index — never a value or an address.
+int JoinPlan::Impl::PickNextAtom(const std::vector<Step>& by_slot,
+                                 const std::vector<bool>& used,
+                                 size_t depth) const {
+  for (size_t i = 0; i < by_slot.size(); ++i) {
+    if (!used[i] && positive[i] == delta_body_index) {
+      return static_cast<int>(i);
+    }
+  }
+  if (strategy == JoinStrategy::kBinary) {
+    for (size_t i = 0; i < by_slot.size(); ++i) {
+      if (!used[i]) return static_cast<int>(i);
+    }
+  }
+  auto is_bound = [&](Term t) { return BoundAt(depth, t); };
+  int best = -1;
+  double best_est = 0.0;
+  size_t best_bound = 0;
+  size_t best_size = 0;
+  for (size_t i = 0; i < by_slot.size(); ++i) {
+    if (used[i]) continue;
+    size_t num_bound = 0;
+    size_t size = 0;
+    double est = EstimateAtom(by_slot[i], is_bound, &num_bound, &size);
+    bool better = best == -1 || est < best_est ||
+                  (est == best_est &&
+                   (num_bound > best_bound ||
+                    (num_bound == best_bound && size < best_size)));
+    if (better) {
+      best = static_cast<int>(i);
+      best_est = est;
+      best_bound = num_bound;
+      best_size = size;
+    }
+  }
+  return best;
+}
+
+/// The depth-1 merge join: the driver must full-scan its window (a
+/// bound argument would enumerate in posting order) and the second atom
+/// must share one of the driver's variables, bound at its first
+/// occurrence in the driver so its bind order follows the sorted column.
+/// kAuto also requires a window that amortizes sorting it, and both need
+/// a non-empty cursor relation.
+void JoinPlan::Impl::PlanMerge() {
+  if (steps.size() < 2 || steps[0].access != Access::kScan) return;
+  Step& driver = steps[0];
+  Step& next = steps[1];
+  const size_t window =
+      driver.end > driver.begin ? driver.end - driver.begin : 0;
+  if (strategy == JoinStrategy::kAuto && window < kAutoMergeMinWindow) return;
+  if (next.rel == nullptr || next.rel->size() == 0) return;
+  const std::vector<Term>& a0 = driver.atom->args;
+  for (uint32_t p = 0; p < a0.size(); ++p) {
+    if (std::find(a0.begin(), a0.begin() + p, a0[p]) != a0.begin() + p) {
+      continue;  // not the variable's first occurrence
+    }
+    for (uint32_t q = 0; q < next.atom->args.size(); ++q) {
+      if (next.atom->args[q] != a0[p]) continue;
+      driver.access = Access::kSortedScan;
+      driver.pos = p;
+      next.access = Access::kMergeCursor;
+      next.pos = q;
+      return;
+    }
+  }
+}
+
+/// Whether the plan runs the residual (every atom below the driver)
+/// as one leapfrog triejoin: kAuto only, with ≥3 positive atoms and
+/// ≥2 residual atoms sharing a variable the driver leaves unbound —
+/// the shape where a binary plan materializes an intermediate result
+/// the multi-way intersection never builds. Value-independent.
+bool JoinPlan::Impl::ShouldLeapfrog() const {
+  if (strategy != JoinStrategy::kAuto || steps.size() < 3) return false;
+  for (size_t d1 = 1; d1 < steps.size(); ++d1) {
+    for (Term v : steps[d1].atom->args) {
+      if (BoundAt(1, v)) continue;
+      for (size_t d2 = d1 + 1; d2 < steps.size(); ++d2) {
+        const std::vector<Term>& args = steps[d2].atom->args;
+        if (std::find(args.begin(), args.end(), v) != args.end()) return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Builds the leapfrog residual plan: per residual atom a trie key —
+/// restricted positions (constants and variables the seed or driver
+/// binds) in ascending position order, then each leapfrog variable's
+/// occurrence positions as one contiguous level group — and per
+/// variable its participant list. Variables are ordered by first
+/// unbound occurrence across the residual in join order. The lex
+/// permutations are built here, on the planning thread.
+void JoinPlan::Impl::PlanLeapfrog() {
+  leapfrog = true;
+  auto is_bound = [&](Term t) { return BoundAt(1, t); };
+  std::vector<Term> order;  // leapfrog variables, first occurrence
+  for (size_t depth = 1; depth < steps.size(); ++depth) {
+    for (Term t : steps[depth].atom->args) {
+      if (!is_bound(t) &&
+          std::find(order.begin(), order.end(), t) == order.end()) {
+        order.push_back(t);
+      }
+    }
+  }
+  lf_vars.resize(order.size());
+  for (size_t vi = 0; vi < order.size(); ++vi) lf_vars[vi].var = order[vi];
+
+  for (size_t depth = 1; depth < steps.size(); ++depth) {
+    Step& step = steps[depth];
+    const Atom& atom = *step.atom;
+    LfAtom a;
+    if (step.rel == nullptr) lf_possible = false;
     for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-      if (!is_bound(atom.args[pos])) continue;
-      ++num_bound;
-      if (usable && size > 0) {
-        est /= std::max(1.0, rel->EstimatedDistinct(pos));
+      if (is_bound(atom.args[pos])) {
+        a.levels.push_back(LfLevel{pos, atom.args[pos], -1, nullptr});
       }
     }
-    if (num_bound == atom.args.size() && !atom.args.empty()) {
-      est = std::min(est, 1.0);
-    }
-    *bound_out = num_bound;
-    *size_out = size;
-    return est;
-  }
-
-  // The delta atom is pinned first (its window is the pass's driver).
-  // kBinary then takes the atoms in written order; kAuto orders by cost:
-  // each depth takes the unprocessed atom with the smallest estimated
-  // match count under the variables bound so far. Ties break
-  // deterministically: more bound positions, then smaller window, then
-  // lower slot index — never a value or an address.
-  template <typename BoundFn>
-  int PickNextAtom(const std::vector<bool>& used,
-                   const BoundFn& is_bound) const {
-    for (size_t i = 0; i < positive_.size(); ++i) {
-      if (!used[i] && positive_[i] == options_.delta_body_index) {
-        return static_cast<int>(i);
-      }
-    }
-    if (options_.join_strategy == JoinStrategy::kBinary) {
-      for (size_t i = 0; i < positive_.size(); ++i) {
-        if (!used[i]) return static_cast<int>(i);
-      }
-    }
-    int best = -1;
-    double best_est = 0.0;
-    size_t best_bound = 0;
-    size_t best_size = 0;
-    for (size_t i = 0; i < positive_.size(); ++i) {
-      if (used[i]) continue;
-      size_t num_bound = 0;
-      size_t size = 0;
-      double est =
-          EstimateAtom(static_cast<int>(i), is_bound, &num_bound, &size);
-      bool better = best == -1 || est < best_est ||
-                    (est == best_est &&
-                     (num_bound > best_bound ||
-                      (num_bound == best_bound && size < best_size)));
-      if (better) {
-        best = static_cast<int>(i);
-        best_est = est;
-        best_bound = num_bound;
-        best_size = size;
-      }
-    }
-    return best;
-  }
-
-  /// Whether the plan runs the residual (every atom below the driver)
-  /// as one leapfrog triejoin: kAuto only, with ≥3 positive atoms and
-  /// ≥2 residual atoms sharing a variable the driver leaves unbound —
-  /// the shape where a binary plan materializes an intermediate result
-  /// the multi-way intersection never builds. Value-independent.
-  bool ShouldLeapfrog() const {
-    if (options_.join_strategy != JoinStrategy::kAuto) return false;
-    if (plan_.size() < 3) return false;
-    for (size_t d1 = 1; d1 < plan_.size(); ++d1) {
-      const Atom& a1 = rule_.body[positive_[plan_[d1].slot]];
-      for (Term v : a1.args) {
-        if (BoundAt(1, v)) continue;
-        for (size_t d2 = d1 + 1; d2 < plan_.size(); ++d2) {
-          const Atom& a2 = rule_.body[positive_[plan_[d2].slot]];
-          for (Term t : a2.args) {
-            if (t == v) return true;
-          }
-        }
-      }
-    }
-    return false;
-  }
-
-  /// Builds the leapfrog residual plan: per residual atom a trie key —
-  /// restricted positions (constants and variables the seed or driver
-  /// binds) in ascending position order, then each leapfrog variable's
-  /// occurrence positions as one contiguous level group — and per
-  /// variable its participant list. Variables are ordered by first
-  /// unbound occurrence across the residual in join order. All of it is
-  /// value-independent; the lex permutations are pre-built here (plan
-  /// time runs on the scheduling thread) and re-frozen via
-  /// DriverPlan::lex_index_pairs before parallel fan-out.
-  void PlanLeapfrog() {
-    lftj_ = true;
-    auto is_bound = [&](Term t) { return BoundAt(1, t); };
-    std::vector<Term> order;  // leapfrog variables, first occurrence
-    for (size_t depth = 1; depth < plan_.size(); ++depth) {
-      for (Term t : rule_.body[positive_[plan_[depth].slot]].args) {
-        if (!is_bound(t) &&
-            std::find(order.begin(), order.end(), t) == order.end()) {
-          order.push_back(t);
-        }
-      }
-    }
-    lf_vars_.resize(order.size());
-    for (size_t vi = 0; vi < order.size(); ++vi) lf_vars_[vi].var = order[vi];
-
-    for (size_t depth = 1; depth < plan_.size(); ++depth) {
-      int slot = plan_[depth].slot;
-      const Atom& atom = rule_.body[positive_[slot]];
-      LfAtom a;
-      a.slot = slot;
-      a.atom = &atom;
-      const Relation* rel = instance_.Find(atom.predicate);
-      if (rel != nullptr && rel->arity() == atom.args.size()) a.rel = rel;
-      if (a.rel == nullptr) lf_possible_ = false;
-      auto [begin, end] = SlotWindow(slot);
-      a.window_end = a.rel == nullptr ? 0 : std::min(end, a.rel->size());
-      (void)begin;  // residual atoms scan [0, end) — the delta drives
+    a.num_restricted = a.levels.size();
+    int atom_index = static_cast<int>(lf_atoms.size());
+    for (size_t vi = 0; vi < order.size(); ++vi) {
+      LfOcc occ;
+      occ.atom = atom_index;
+      bool found = false;
       for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-        if (is_bound(atom.args[pos])) {
-          a.levels.push_back(LfLevel{pos, atom.args[pos], -1, nullptr});
+        if (atom.args[pos] != order[vi]) continue;
+        if (!found) {
+          occ.level_begin = static_cast<uint32_t>(a.levels.size());
+          found = true;
         }
+        a.levels.push_back(
+            LfLevel{pos, atom.args[pos], static_cast<int>(vi), nullptr});
       }
-      a.num_restricted = a.levels.size();
-      int atom_index = static_cast<int>(lf_atoms_.size());
-      for (size_t vi = 0; vi < order.size(); ++vi) {
-        LfOcc occ;
-        occ.atom = atom_index;
-        occ.level_begin = 0;
-        bool found = false;
-        for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-          if (atom.args[pos] != order[vi]) continue;
-          if (!found) {
-            occ.level_begin = static_cast<uint32_t>(a.levels.size());
-            found = true;
-          }
-          a.levels.push_back(
-              LfLevel{pos, atom.args[pos], static_cast<int>(vi), nullptr});
-        }
-        if (found) {
-          occ.level_end = static_cast<uint32_t>(a.levels.size());
-          lf_vars_[vi].occs.push_back(occ);
-        }
+      if (found) {
+        occ.level_end = static_cast<uint32_t>(a.levels.size());
+        lf_vars[vi].occs.push_back(occ);
       }
-      a.fully_restricted = a.num_restricted == a.levels.size();
-      for (const LfLevel& level : a.levels) a.key.push_back(level.pos);
-      if (a.rel != nullptr && !a.fully_restricted) {
-        a.perm = &a.rel->LexPerm(a.key);
-        for (LfLevel& level : a.levels) {
-          level.col = a.rel->Column(level.pos).begin();
-        }
-      }
-      lf_atoms_.push_back(std::move(a));
     }
+    a.fully_restricted = a.num_restricted == a.levels.size();
+    step.access = a.fully_restricted ? Access::kFindIndex : Access::kLeapfrog;
+    for (const LfLevel& level : a.levels) a.key.push_back(level.pos);
+    if (step.rel != nullptr && !a.fully_restricted) {
+      a.perm = &step.rel->LexPerm(a.key);
+      for (LfLevel& level : a.levels) {
+        level.col = step.rel->Column(level.pos).begin();
+      }
+    }
+    lf_atoms.push_back(std::move(a));
+  }
+}
+
+/// Materializes the depth-0 visit order: the window sorted by the
+/// driver column (after opening the merge cursor's permutation), or the
+/// driver's candidates under its constants. An absent relation or an
+/// empty window has no candidates and builds no index.
+void JoinPlan::Impl::SettleDriver() {
+  if (steps.empty()) return;
+  const Step& driver = steps[0];
+  if (driver.rel == nullptr || driver.begin >= driver.end) return;
+  switch (driver.access) {
+    case Access::kScan:
+      driver_first = driver.begin;
+      driver_size = driver.end - driver.begin;
+      return;
+    case Access::kSortedScan:
+      cursor_range = steps[1].rel->Sorted(steps[1].pos);
+      driver.rel->SortWindow(driver.pos, static_cast<uint32_t>(driver.begin),
+                             static_cast<uint32_t>(driver.end),
+                             &driver_order);
+      break;
+    default: {
+      // A seeded plan (AtomProbe) is re-run with other seed values.
+      if (seeded) {
+        settled = false;
+        return;
+      }
+      Tuple scratch;
+      ForEachCandidate(driver, seed, &scratch, [&](uint32_t idx) {
+        driver_order.push_back(idx);
+        return true;
+      });
+    }
+  }
+  driver_size = driver_order.size();
+}
+
+/// One run of a plan: the binding, the matched facts, the merge cursor,
+/// the leapfrog slices and the deadline poll. Backtracks over the plan's
+/// steps, with negated atoms checked once the positive body is bound
+/// (rule safety guarantees their variables are bound by then).
+class JoinRun {
+ public:
+  JoinRun(const JoinPlan& plan, const MatchFn& fn)
+      : plan_(*plan.impl_),
+        fn_(fn),
+        binding_(plan_.seed),
+        refs_(plan_.positive.size()),
+        lf_slices_(plan_.lf_atoms.size()),
+        deadline_set_(plan_.deadline !=
+                      std::chrono::steady_clock::time_point{}) {}
+
+  /// Replaces the seed. It must bind the same variables in the same
+  /// order as the plan's seed (AtomProbe's contract), so the plan holds.
+  void Reseed(const Binding& seed) { binding_ = seed; }
+
+  Status Run(size_t begin, size_t end) {
+    status_ = Status::OK();
+    cursor_ = plan_.cursor_range.begin();
+    if (plan_.steps.empty()) {
+      EmitIfNegativesHold();
+    } else if (!plan_.settled) {
+      Enumerate(0);
+    } else {
+      for (size_t i = begin; i < end; ++i) {
+        if (!TryTuple(0, plan_.DriverTuple(i))) break;
+      }
+    }
+    return status_;
+  }
+
+ private:
+  using Impl = JoinPlan::Impl;
+
+  // Returns false to propagate early termination.
+  bool Recurse(size_t depth) {
+    if (depth == plan_.steps.size()) return EmitIfNegativesHold();
+    if (plan_.leapfrog && depth == 1) {
+      // The whole residual runs as one leapfrog join per driver tuple.
+      // An absent residual relation means no matches at all.
+      return plan_.lf_possible ? RunLeapfrog() : true;
+    }
+    return Enumerate(depth);
+  }
+
+  /// Unifies the step's atom with tuple `idx` and descends.
+  bool TryTuple(size_t depth, uint32_t idx) {
+    const Step& step = plan_.steps[depth];
+    const std::vector<Term>& args = step.atom->args;
+    TupleView tuple = step.rel->tuple(idx);
+    size_t mark = binding_.size();
+    bool unified = true;
+    for (uint32_t pos = 0; pos < args.size(); ++pos) {
+      Term pattern = binding_.Apply(args[pos]);
+      if (pattern.IsVariable()) {
+        binding_.Bind(pattern, tuple[pos]);
+      } else if (pattern != tuple[pos]) {
+        unified = false;
+        break;
+      }
+    }
+    bool keep_going = true;
+    if (unified) {
+      refs_[step.slot] = FactRef{step.atom->predicate, idx};
+      keep_going = Recurse(depth + 1);
+    }
+    binding_.PopTo(mark);
+    return keep_going;
+  }
+
+  /// Enumerates a step below the depth-0 order (or the first step of an
+  /// unsettled plan) along its planned access path.
+  bool Enumerate(size_t depth) {
+    const Step& step = plan_.steps[depth];
+    if (step.rel == nullptr || step.begin >= step.end) return true;
+    if (step.access == Access::kMergeCursor) {
+      // The driver feeds nondecreasing values of the shared variable, so
+      // one galloping cursor walks the sorted permutation forward
+      // instead of probing per binding.
+      const SortedRange& range = plan_.cursor_range;
+      Term v = binding_.Apply(step.atom->args[step.pos]);
+      cursor_ = range.SeekValue(cursor_, v);
+      for (const uint32_t* it = cursor_;
+           it != range.end() && range.ValueAt(it) == v; ++it) {
+        if (*it < step.begin || *it >= step.end) continue;
+        if (!TryTuple(depth, *it)) return false;
+      }
+      return true;
+    }
+    if (step.access == Access::kScan) {
+      for (size_t idx = step.begin; idx < step.end; ++idx) {
+        if (!TryTuple(depth, static_cast<uint32_t>(idx))) return false;
+      }
+      return true;
+    }
+    return ForEachCandidate(step, binding_, &probe_tuple_, [&](uint32_t idx) {
+      return TryTuple(depth, idx);
+    });
   }
 
   /// Runs the leapfrog residual for the current depth-0 binding:
@@ -532,27 +625,30 @@ class Matcher {
   /// intersects variable by variable. Returns false only to propagate
   /// the callback's early stop.
   bool RunLeapfrog() {
-    for (LfAtom& a : lf_atoms_) {
+    for (size_t ai = 0; ai < plan_.lf_atoms.size(); ++ai) {
+      const Impl::LfAtom& a = plan_.lf_atoms[ai];
       if (a.fully_restricted) {
         // Every position bound: O(1) membership witness, no trie walk.
+        // Residual atoms scan [0, end): the delta window drives.
+        const Step& step = plan_.steps[ai + 1];
         probe_tuple_.clear();
-        for (Term arg : a.atom->args) {
+        for (Term arg : step.atom->args) {
           probe_tuple_.push_back(binding_.Apply(arg));
         }
-        uint32_t idx = a.rel->FindIndex(probe_tuple_);
-        if (idx == Relation::kNotFound || idx >= a.window_end) return true;
-        refs_[a.slot] = FactRef{a.atom->predicate, idx};
+        uint32_t idx = step.rel->FindIndex(probe_tuple_);
+        if (idx == Relation::kNotFound || idx >= step.end) return true;
+        refs_[step.slot] = FactRef{step.atom->predicate, idx};
         continue;
       }
-      const std::vector<uint32_t>& perm = *a.perm;
-      a.lo = perm.data();
-      a.hi = perm.data() + perm.size();
+      Slice& s = lf_slices_[ai];
+      s.lo = a.perm->data();
+      s.hi = a.perm->data() + a.perm->size();
       for (size_t d = 0; d < a.num_restricted; ++d) {
         Term v = binding_.Apply(a.levels[d].pattern);
-        SortedRange eq = SortedRange(a.lo, a.hi, a.levels[d].col).Equal(v);
+        SortedRange eq = SortedRange(s.lo, s.hi, a.levels[d].col).Equal(v);
         if (eq.empty()) return true;
-        a.lo = eq.begin();
-        a.hi = eq.end();
+        s.lo = eq.begin();
+        s.hi = eq.end();
       }
     }
     return LeapfrogVar(0);
@@ -564,13 +660,16 @@ class Matcher {
   /// bind and recurse, then resume past the value. Scratch lives in
   /// member stacks (mark/restore) so the hot path never allocates.
   bool LeapfrogVar(size_t vi) {
-    if (vi == lf_vars_.size()) return LeapfrogLeaf();
-    const LfVar& var = lf_vars_[vi];
+    if (vi == plan_.lf_vars.size()) return LeapfrogLeaf();
+    const Impl::LfVar& var = plan_.lf_vars[vi];
     const size_t k = var.occs.size();
+    auto level_col = [&](size_t j, uint32_t level) {
+      return plan_.lf_atoms[var.occs[j].atom].levels[level].col;
+    };
     const size_t save_mark = lf_save_.size();
-    for (const LfOcc& occ : var.occs) {
-      lf_save_.push_back(lf_atoms_[occ.atom].lo);
-      lf_save_.push_back(lf_atoms_[occ.atom].hi);
+    for (const Impl::LfOcc& occ : var.occs) {
+      lf_save_.push_back(lf_slices_[occ.atom].lo);
+      lf_save_.push_back(lf_slices_[occ.atom].hi);
     }
     // Per-participant scratch: [3j] = resume point past the current
     // value, [3j+1] / [3j+2] = the narrowed child slice.
@@ -590,12 +689,12 @@ class Matcher {
       Term vmax;
       bool exhausted = false;
       for (size_t j = 0; j < k; ++j) {
-        const LfAtom& a = lf_atoms_[var.occs[j].atom];
-        if (a.lo == a.hi) {
+        const Slice& s = lf_slices_[var.occs[j].atom];
+        if (s.lo == s.hi) {
           exhausted = true;
           break;
         }
-        Term v = a.levels[var.occs[j].level_begin].col[*a.lo];
+        Term v = level_col(j, var.occs[j].level_begin)[*s.lo];
         if (j == 0 || vmax < v) vmax = v;
       }
       if (exhausted) break;
@@ -603,14 +702,14 @@ class Matcher {
       // restarts the alignment round.
       bool aligned = true;
       for (size_t j = 0; j < k; ++j) {
-        LfAtom& a = lf_atoms_[var.occs[j].atom];
-        const Term* col = a.levels[var.occs[j].level_begin].col;
-        a.lo = SortedRange(a.lo, a.hi, col).SeekValue(a.lo, vmax);
-        if (a.lo == a.hi) {
+        Slice& s = lf_slices_[var.occs[j].atom];
+        const Term* col = level_col(j, var.occs[j].level_begin);
+        s.lo = SortedRange(s.lo, s.hi, col).SeekValue(s.lo, vmax);
+        if (s.lo == s.hi) {
           exhausted = true;
           break;
         }
-        if (col[*a.lo] != vmax) aligned = false;
+        if (col[*s.lo] != vmax) aligned = false;
       }
       if (exhausted) break;
       if (!aligned) continue;
@@ -619,18 +718,16 @@ class Matcher {
       // occurrences of the variable in the same atom.
       bool all_nonempty = true;
       for (size_t j = 0; j < k; ++j) {
-        LfAtom& a = lf_atoms_[var.occs[j].atom];
-        const LfOcc& occ = var.occs[j];
+        const Slice& s = lf_slices_[var.occs[j].atom];
+        const Impl::LfOcc& occ = var.occs[j];
         SortedRange eq =
-            SortedRange(a.lo, a.hi, a.levels[occ.level_begin].col)
-                .Equal(vmax);
+            SortedRange(s.lo, s.hi, level_col(j, occ.level_begin)).Equal(vmax);
         lf_ptrs_[ptr_mark + 3 * j] = eq.end();
         const uint32_t* nlo = eq.begin();
         const uint32_t* nhi = eq.end();
         for (uint32_t d = occ.level_begin + 1;
              d < occ.level_end && nlo != nhi; ++d) {
-          SortedRange sub =
-              SortedRange(nlo, nhi, a.levels[d].col).Equal(vmax);
+          SortedRange sub = SortedRange(nlo, nhi, level_col(j, d)).Equal(vmax);
           nlo = sub.begin();
           nhi = sub.end();
         }
@@ -640,9 +737,9 @@ class Matcher {
       }
       if (all_nonempty) {
         for (size_t j = 0; j < k; ++j) {
-          LfAtom& a = lf_atoms_[var.occs[j].atom];
-          a.lo = lf_ptrs_[ptr_mark + 3 * j + 1];
-          a.hi = lf_ptrs_[ptr_mark + 3 * j + 2];
+          Slice& s = lf_slices_[var.occs[j].atom];
+          s.lo = lf_ptrs_[ptr_mark + 3 * j + 1];
+          s.hi = lf_ptrs_[ptr_mark + 3 * j + 2];
         }
         const size_t bind_mark = binding_.size();
         binding_.Bind(var.var, vmax);
@@ -653,16 +750,16 @@ class Matcher {
       // Resume past vmax: cursor to the equal range's end, slice end
       // back to the pre-loop bound.
       for (size_t j = 0; j < k; ++j) {
-        LfAtom& a = lf_atoms_[var.occs[j].atom];
-        a.lo = lf_ptrs_[ptr_mark + 3 * j];
-        a.hi = lf_save_[save_mark + 2 * j + 1];
+        Slice& s = lf_slices_[var.occs[j].atom];
+        s.lo = lf_ptrs_[ptr_mark + 3 * j];
+        s.hi = lf_save_[save_mark + 2 * j + 1];
       }
     }
     // Restore the participants' slices for the caller's next value.
     for (size_t j = 0; j < k; ++j) {
-      LfAtom& a = lf_atoms_[var.occs[j].atom];
-      a.lo = lf_save_[save_mark + 2 * j];
-      a.hi = lf_save_[save_mark + 2 * j + 1];
+      Slice& s = lf_slices_[var.occs[j].atom];
+      s.lo = lf_save_[save_mark + 2 * j];
+      s.hi = lf_save_[save_mark + 2 * j + 1];
     }
     lf_save_.resize(save_mark);
     lf_ptrs_.resize(ptr_mark);
@@ -674,224 +771,21 @@ class Matcher {
   /// witness. Window checks happen here — slices are value-ordered, so
   /// the tuple-index cap can only be enforced on the witness itself.
   bool LeapfrogLeaf() {
-    for (const LfAtom& a : lf_atoms_) {
-      if (a.fully_restricted) continue;  // resolved in RunLeapfrog
-      if (a.lo == a.hi) return true;
-      uint32_t idx = *a.lo;
-      if (idx >= a.window_end) return true;
-      refs_[a.slot] = FactRef{a.atom->predicate, idx};
+    for (size_t ai = 0; ai < plan_.lf_atoms.size(); ++ai) {
+      if (plan_.lf_atoms[ai].fully_restricted) continue;  // in RunLeapfrog
+      const Step& step = plan_.steps[ai + 1];
+      const Slice& s = lf_slices_[ai];
+      if (s.lo == s.hi) return true;
+      uint32_t idx = *s.lo;
+      if (idx >= step.end) return true;
+      refs_[step.slot] = FactRef{step.atom->predicate, idx};
     }
     return EmitIfNegativesHold();
   }
 
-  // Returns false to propagate early termination.
-  bool Recurse(size_t depth) {
-    if (depth == positive_.size()) return EmitIfNegativesHold();
-    if (lftj_ && depth == 1) {
-      // The whole residual runs as one leapfrog join per driver tuple.
-      // An absent residual relation means no matches at all.
-      return lf_possible_ ? RunLeapfrog() : true;
-    }
-    return EnumerateCandidates(depth);
-  }
-
-  // The tuple-index window this slot's atom is allowed to scan (see the
-  // MatchOptions contract).
-  std::pair<size_t, size_t> SlotWindow(int slot) const {
-    int body_index = positive_[slot];
-    if (body_index == options_.delta_body_index) {
-      return {options_.delta_begin, options_.delta_end};
-    }
-    size_t end = kNoTupleLimit;
-    if (static_cast<size_t>(body_index) < options_.atom_end.size()) {
-      end = options_.atom_end[body_index];
-    }
-    return {0, end};
-  }
-
-  bool EnumerateCandidates(size_t depth) {
-    const DepthPlan& plan = plan_[depth];
-    int slot = plan.slot;
-    const Atom& atom = rule_.body[positive_[slot]];
-    const Relation* rel = instance_.Find(atom.predicate);
-    if (rel == nullptr || rel->arity() != atom.args.size()) return true;
-
-    auto try_tuple = [&](uint32_t idx) -> bool {
-      TupleView tuple = rel->tuple(idx);
-      size_t mark = binding_.size();
-      bool unified = true;
-      for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-        Term pattern = binding_.Apply(atom.args[pos]);
-        if (pattern.IsVariable()) {
-          binding_.Bind(pattern, tuple[pos]);
-        } else if (pattern != tuple[pos]) {
-          unified = false;
-          break;
-        }
-      }
-      bool keep_going = true;
-      if (unified) {
-        refs_[slot] = FactRef{atom.predicate, idx};
-        keep_going = Recurse(depth + 1);
-      }
-      binding_.PopTo(mark);
-      return keep_going;
-    };
-
-    // Injected depth-0 shard (parallel chase): enumerate exactly the
-    // given indices — a slice of PlanMatchDriver's window-clamped order.
-    // Bound positions are re-checked by try_tuple's unification, and no
-    // lazy index is built, so shard matchers are safe concurrent readers
-    // of a frozen instance.
-    if (depth == 0 && options_.driver_order != nullptr) {
-      if (positive_[slot] != options_.driver_body_index) {
-        status_ = Status::Internal(
-            "sharded match pass planned body atom " +
-            std::to_string(options_.driver_body_index) +
-            " as the driver but the join plan enumerates atom " +
-            std::to_string(positive_[slot]) + " first");
-        return false;
-      }
-      merge_active_ = options_.driver_sorted && plan_.size() > 1 &&
-                      plan_[1].merge_cursor && SetUpCursor();
-      for (size_t i = 0; i < options_.driver_order_size; ++i) {
-        if (!try_tuple(options_.driver_order[i])) return false;
-      }
-      return true;
-    }
-
-    auto [begin, end] = SlotWindow(slot);
-    end = std::min(end, rel->size());
-    if (begin >= end) return true;
-
-    // Merge-cursor path: the driver is feeding us nondecreasing values
-    // of the shared variable, so one galloping cursor walks the sorted
-    // permutation forward instead of probing per binding.
-    if (plan.merge_cursor && merge_active_) {
-      Term v = binding_.Apply(atom.args[plan.cursor_pos]);
-      if (!v.IsVariable()) {
-        cursor_ = cursor_range_.SeekValue(cursor_, v);
-        for (const uint32_t* it = cursor_;
-             it != cursor_range_.end() && cursor_range_.ValueAt(it) == v;
-             ++it) {
-          uint32_t idx = *it;
-          if (idx < begin || idx >= end) continue;
-          if (!try_tuple(idx)) return false;
-        }
-        return true;
-      }
-      // The shared variable is unexpectedly unbound (defensive): fall
-      // through to the probe paths below.
-    }
-
-    // Fully ground atom: the dedup table answers the membership
-    // question in O(1); no posting range (or permutation sync) needed.
-    // Head-satisfaction probes with a fully bound frontier take this
-    // path even while the relation is growing between firings.
-    probe_tuple_.clear();
-    for (Term arg : atom.args) {
-      Term val = binding_.Apply(arg);
-      if (val.IsVariable()) {
-        probe_tuple_.clear();
-        break;
-      }
-      probe_tuple_.push_back(val);
-    }
-    if (probe_tuple_.size() == atom.args.size() && !atom.args.empty()) {
-      uint32_t idx = rel->FindIndex(probe_tuple_);
-      if (idx == Relation::kNotFound || idx < begin || idx >= end) {
-        return true;
-      }
-      return try_tuple(idx);
-    }
-
-    // Collect the posting ranges for the bound positions, keeping the
-    // two shortest: candidates come from their sorted intersection,
-    // which prunes far more than scanning one list and re-checking.
-    // Only indices below `end` are read, so a permutation synced past
-    // the window is used as is.
-    SortedRange shortest, second;
-    bool have_shortest = false, have_second = false;
-    for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-      Term val = binding_.Apply(atom.args[pos]);
-      if (val.IsVariable()) continue;
-      SortedRange p = rel->Postings(pos, val, end);
-      if (p.empty()) return true;  // some bound position has no fact
-      if (!have_shortest || p.size() < shortest.size()) {
-        if (have_shortest) {
-          second = shortest;
-          have_second = true;
-        }
-        shortest = p;
-        have_shortest = true;
-      } else if (!have_second || p.size() < second.size()) {
-        second = p;
-        have_second = true;
-      }
-    }
-
-    if (have_shortest) {
-      // Posting entries ascend by tuple index, so the window seek is a
-      // binary search instead of a skip-scan.
-      const uint32_t* it =
-          std::lower_bound(shortest.begin(), shortest.end(),
-                           static_cast<uint32_t>(begin));
-      if (!have_second) {
-        for (; it != shortest.end() && *it < end; ++it) {
-          if (!try_tuple(*it)) return false;
-        }
-      } else {
-        // Walk the shorter list and gallop the longer one to each of
-        // its entries: O(|shortest| log gap) instead of a linear walk
-        // of the long list.
-        const uint32_t* jt = second.begin();
-        for (; it != shortest.end() && *it < end; ++it) {
-          jt = GallopTo(jt, second.end(), *it);
-          if (jt == second.end()) break;
-          if (*jt != *it) continue;
-          if (!try_tuple(*it)) return false;
-          ++jt;
-        }
-      }
-      return true;
-    }
-
-    // No bound position: full window scan. At depth 0 the planner may
-    // have asked for value order to drive a merge cursor at depth 1.
-    if (depth == 0 && SortedDriverReady(end - begin)) {
-      rel->SortWindow(plan.driver_pos, static_cast<uint32_t>(begin),
-                      static_cast<uint32_t>(end), &window_perm_);
-      merge_active_ = true;
-      for (uint32_t idx : window_perm_) {
-        if (!try_tuple(idx)) return false;
-      }
-      return true;
-    }
-    for (uint32_t idx = static_cast<uint32_t>(begin); idx < end; ++idx) {
-      if (!try_tuple(idx)) return false;
-    }
-    return true;
-  }
-
-  /// Opens the depth-1 sorted permutation the merge cursor walks.
-  /// Returns false when the second atom has no usable relation (the
-  /// driver then scans in plain index order; depth 1 finds no
-  /// candidates either way).
-  bool SetUpCursor() {
-    const Atom& next = rule_.body[positive_[plan_[1].slot]];
-    const Relation* rel = instance_.Find(next.predicate);
-    if (rel == nullptr || rel->arity() != next.args.size() ||
-        rel->size() == 0) {
-      return false;
-    }
-    cursor_range_ = rel->Sorted(plan_[1].cursor_pos);
-    cursor_ = cursor_range_.begin();
-    return true;
-  }
-
   bool EmitIfNegativesHold() {
-    for (const Atom* atom : negative_) {
-      scratch_tuple_.clear();
+    for (const Atom* atom : plan_.negative) {
+      probe_tuple_.clear();
       for (Term t : atom->args) {
         Term v = binding_.Apply(t);
         if (v.IsVariable()) {
@@ -899,181 +793,188 @@ class Matcher {
           // instead of silently treating the negation as satisfied.
           status_ = Status::InvalidArgument(
               "negated atom over predicate " +
-              instance_.dict().Text(atom->predicate) +
+              plan_.instance.dict().Text(atom->predicate) +
               " has an unbound variable after matching the positive body; "
               "the rule is unsafe");
           return false;
         }
-        scratch_tuple_.push_back(v);
+        probe_tuple_.push_back(v);
       }
-      if (instance_.Contains(atom->predicate, scratch_tuple_)) return true;
+      if (plan_.instance.Contains(atom->predicate, probe_tuple_)) return true;
     }
     Match match{&binding_, &refs_};
     return fn_(match);
   }
-
-  const Rule& rule_;
-  const Instance& instance_;
-  const MatchOptions& options_;
-  const std::function<bool(const Match&)>& fn_;
-
-  std::vector<int> positive_;        // body indices of positive atoms
-  std::vector<const Atom*> negative_;
-  std::vector<DepthPlan> plan_;      // depth -> slot + access path
-  std::vector<Term> bind_order_;     // variables in plan binding order
-  std::vector<size_t> bound_before_;  // depth -> bound prefix of bind_order_
-  std::vector<FactRef> refs_;        // matched fact per slot (= body order)
-  Tuple scratch_tuple_;              // reused for negated-atom probes
-  Tuple probe_tuple_;                // reused for fully-ground atom probes
-  std::vector<uint32_t> window_perm_;  // driver window in value order
-  SortedRange cursor_range_;         // depth-1 sorted permutation
-  const uint32_t* cursor_ = nullptr;
-  bool merge_active_ = false;
-
-  /// One trie level of a leapfrog atom: the column position it walks,
-  /// the atom argument at that position (a constant or a variable), the
-  /// leapfrog variable index that owns the level (-1 = restricted), and
-  /// the column base pointer (resolved at plan time; storage never
-  /// moves during a pass).
-  struct LfLevel {
-    uint32_t pos;
-    Term pattern;
-    int var;
-    const Term* col;
-  };
-  /// One residual atom in the leapfrog plan: its trie key (level
-  /// positions), its lex permutation, and the current slice [lo, hi)
-  /// into that permutation as the join descends.
-  struct LfAtom {
-    int slot = -1;
-    const Atom* atom = nullptr;
-    const Relation* rel = nullptr;
-    size_t window_end = 0;
-    std::vector<uint32_t> key;
-    std::vector<LfLevel> levels;
-    size_t num_restricted = 0;
-    bool fully_restricted = false;
-    const std::vector<uint32_t>* perm = nullptr;
-    const uint32_t* lo = nullptr;
-    const uint32_t* hi = nullptr;
-  };
-  /// One occurrence group: `atom`'s levels [level_begin, level_end) all
-  /// carry the same leapfrog variable.
-  struct LfOcc {
-    int atom = 0;
-    uint32_t level_begin = 0;
-    uint32_t level_end = 0;
-  };
-  struct LfVar {
-    Term var;
-    std::vector<LfOcc> occs;
-  };
-  bool lftj_ = false;        // residual runs as a leapfrog triejoin
-  bool lf_possible_ = true;  // false: a residual relation is absent
-  std::vector<LfAtom> lf_atoms_;
-  std::vector<LfVar> lf_vars_;
-  // Recursion scratch stacks (see LeapfrogVar); grown once, reused.
-  std::vector<const uint32_t*> lf_save_;
-  std::vector<const uint32_t*> lf_ptrs_;
 
   /// Polls the pass deadline every 1024 calls; on expiry records
   /// ResourceExhausted in status_ and returns true so the caller
   /// unwinds through the usual early-stop path.
   bool DeadlineTripped() {
     if (!deadline_set_ || (++deadline_steps_ & 1023u) != 0) return false;
-    if (std::chrono::steady_clock::now() < options_.deadline) return false;
+    if (std::chrono::steady_clock::now() < plan_.deadline) return false;
     status_ = Status::ResourceExhausted("match pass exceeded the deadline");
     return true;
   }
 
-  bool deadline_set_ = false;
-  uint64_t deadline_steps_ = 0;
+  /// A leapfrog atom's current slice [lo, hi) of its lex permutation.
+  struct Slice {
+    const uint32_t* lo = nullptr;
+    const uint32_t* hi = nullptr;
+  };
 
+  const Impl& plan_;
+  const MatchFn& fn_;
   Binding binding_;
+  std::vector<FactRef> refs_;  // matched fact per slot (= body order)
+  Tuple probe_tuple_;  // find-index and negated-atom probes
+  const uint32_t* cursor_ = nullptr;
+  std::vector<Slice> lf_slices_;
+  // Recursion scratch stacks (see LeapfrogVar); grown once, reused.
+  std::vector<const uint32_t*> lf_save_;
+  std::vector<const uint32_t*> lf_ptrs_;
+  const bool deadline_set_;
+  uint64_t deadline_steps_ = 0;
   Status status_ = Status::OK();
 };
 
-}  // namespace
+JoinPlan::JoinPlan(const Rule& rule, const Instance& instance,
+                   const MatchOptions& options)
+    : impl_(std::make_unique<const Impl>(rule, instance, options)) {}
 
-Status MatchBody(const datalog::Rule& rule, const Instance& instance,
-                 const MatchOptions& options,
-                 const std::function<bool(const Match&)>& fn) {
-  // A non-null driver_order marks this call as one sharded slice of a
-  // parallel pass: every index the plan can probe was frozen before
-  // fan-out, so flag the thread and let the index builders assert the
-  // frozen-index contract (TRIQ_DCHECK_FROZEN) on any mutable build.
-  ParallelPassScope parallel_scope(options.driver_order != nullptr);
-  return Matcher(rule, instance, options, fn).Run();
+JoinPlan::~JoinPlan() = default;
+
+size_t JoinPlan::driver_size() const { return impl_->driver_size; }
+
+Status JoinPlan::Run(size_t begin, size_t end, const MatchFn& fn) const {
+  return JoinRun(*this, fn).Run(begin, end);
 }
 
-DriverPlan PlanMatchDriver(const datalog::Rule& rule,
-                           const Instance& instance,
-                           const MatchOptions& options) {
-  std::function<bool(const Match&)> noop = [](const Match&) { return true; };
-  return Matcher(rule, instance, options, noop).MakeDriverPlan();
+void JoinPlan::FreezeIndexes() const {
+  const Impl& plan = *impl_;
+  for (size_t depth = 1; depth < plan.steps.size(); ++depth) {
+    const Step& step = plan.steps[depth];
+    if (step.access != Access::kPostings || step.rel == nullptr) continue;
+    for (uint32_t pos = 0; pos < step.atom->args.size(); ++pos) {
+      if (plan.BoundAt(depth, step.atom->args[pos])) {
+        step.rel->FreezeIndex(pos);
+      }
+    }
+  }
 }
 
-std::string ExplainMatchPlan(const datalog::Rule& rule,
-                             const Instance& instance,
-                             const MatchOptions& options) {
-  std::function<bool(const Match&)> noop = [](const Match&) { return true; };
-  return Matcher(rule, instance, options, noop).Explain();
+std::string JoinPlan::Explain() const {
+  const Impl& plan = *impl_;
+  std::string out = "  strategy: ";
+  if (plan.leapfrog) {
+    out += "leapfrog";
+  } else if (plan.steps.size() >= 2 &&
+             plan.steps[1].access == Access::kMergeCursor) {
+    out += "merge";
+  } else {
+    out += "postings";
+  }
+  out += plan.strategy == JoinStrategy::kBinary ? " (binary)\n" : " (auto)\n";
+  for (size_t depth = 0; depth < plan.steps.size(); ++depth) {
+    const Step& step = plan.steps[depth];
+    size_t num_bound = 0;
+    size_t size = 0;
+    double est = EstimateAtom(
+        step, [&](Term t) { return plan.BoundAt(depth, t); }, &num_bound,
+        &size);
+    std::string access;
+    switch (step.access) {
+      case Access::kScan:
+        access = plan.positive[step.slot] == plan.delta_body_index
+                     ? "delta-scan"
+                     : "scan";
+        break;
+      case Access::kSortedScan:
+        access = "sorted-scan(pos " + std::to_string(step.pos) + ")";
+        break;
+      case Access::kPostings:
+        access = "postings";
+        break;
+      case Access::kFindIndex:
+        access = "find-index";
+        break;
+      case Access::kMergeCursor:
+        access = "merge-cursor(pos " + std::to_string(step.pos) + ")";
+        break;
+      case Access::kLeapfrog: {
+        access = "leapfrog[";
+        const std::vector<uint32_t>& key = plan.lf_atoms[depth - 1].key;
+        for (size_t i = 0; i < key.size(); ++i) {
+          if (i > 0) access += ",";
+          access += std::to_string(key[i]);
+        }
+        access += "]";
+        break;
+      }
+    }
+    char est_buf[32];
+    std::snprintf(est_buf, sizeof(est_buf), "%.3g", est);
+    out += "  " + std::to_string(depth) + ": " +
+           AtomToString(*step.atom, plan.instance.dict()) + "  " + access +
+           "  rows~" + est_buf + " (window " + std::to_string(size) + ")\n";
+  }
+  return out;
 }
 
-bool HasMatch(const std::vector<datalog::Atom>& atoms,
-              const Instance& instance, const Binding& seed) {
-  Rule probe;
-  probe.body = atoms;
-  for (Atom& a : probe.body) a.negated = false;
-  MatchOptions options;
-  options.seed = &seed;
-  bool found = false;
-  // The probe body is positive-only, so MatchBody cannot fail.
-  TRIQ_IGNORE_STATUS(MatchBody(probe, instance, options, [&](const Match&) {
-    found = true;
-    return false;  // stop at first witness
-  }));
-  return found;
+Status MatchBody(const Rule& rule, const Instance& instance,
+                 const MatchOptions& options, const MatchFn& fn) {
+  const JoinPlan plan(rule, instance, options);
+  return plan.Run(0, plan.driver_size(), fn);
 }
 
 namespace {
 
-Rule ProbeRule(const Atom& atom) {
+Rule ProbeRule(const std::vector<Atom>& atoms) {
   Rule probe;
-  probe.body = {atom};
-  probe.body[0].negated = false;
+  probe.body = atoms;
+  for (Atom& a : probe.body) a.negated = false;
   return probe;
 }
 
-MatchOptions ProbeOptions(const Binding* seed, size_t window_end) {
+MatchOptions ProbeOptions(const Binding* seed, std::vector<size_t> atom_end) {
   MatchOptions options;
   options.seed = seed;
-  options.atom_end = {window_end};
+  options.atom_end = std::move(atom_end);
   return options;
 }
 
 }  // namespace
 
+bool HasMatch(const std::vector<Atom>& atoms, const Instance& instance,
+              const Binding& seed) {
+  Rule probe = ProbeRule(atoms);
+  bool found = false;
+  // The probe body is positive-only, so the run cannot fail.
+  TRIQ_IGNORE_STATUS(MatchBody(probe, instance, ProbeOptions(&seed, {}),
+                               [&](const Match&) {
+                                 found = true;
+                                 return false;  // stop at first witness
+                               }));
+  return found;
+}
+
 struct AtomProbe::Impl {
   Impl(const Atom& atom, const Instance& instance, const Binding& prototype,
        size_t window_end)
-      : rule(ProbeRule(atom)),
-        seed(prototype),
-        options(ProbeOptions(&seed, window_end)),
+      : rule(ProbeRule({atom})),
+        plan(rule, instance, ProbeOptions(&prototype, {window_end})),
         stop_at_first([this](const Match&) {
           found = true;
           return false;  // stop at first witness
         }),
-        matcher(rule, instance, options, stop_at_first) {}
+        run(plan, stop_at_first) {}
 
-  // Declaration order is construction order: the matcher holds
-  // references to every member above it.
+  // Declaration order is construction order: the plan and the run hold
+  // references to the members above them.
   Rule rule;
-  Binding seed;
-  MatchOptions options;
+  JoinPlan plan;
   bool found = false;
-  std::function<bool(const Match&)> stop_at_first;
-  Matcher matcher;
+  MatchFn stop_at_first;
+  JoinRun run;
 };
 
 AtomProbe::AtomProbe(const Atom& atom, const Instance& instance,
@@ -1084,9 +985,9 @@ AtomProbe::~AtomProbe() = default;
 
 bool AtomProbe::HasMatch(const Binding& seed) {
   impl_->found = false;
-  impl_->matcher.Reseed(seed);
+  impl_->run.Reseed(seed);
   // The probe body is one positive atom, so the run cannot fail.
-  TRIQ_IGNORE_STATUS(impl_->matcher.Run());
+  TRIQ_IGNORE_STATUS(impl_->run.Run(0, impl_->plan.driver_size()));
   return impl_->found;
 }
 

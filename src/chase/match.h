@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -76,13 +77,15 @@ inline constexpr size_t kNoTupleLimit = static_cast<size_t>(-1);
 ///    the remaining atoms are joined variable at a time by galloping
 ///    sorted lexicographic permutations (Relation::LexPerm); otherwise a
 ///    depth-1 merge cursor when the first two atoms share a variable and
-///    the driver window is large enough to amortize sorting it; posting
-///    probes as the fallback.
+///    the driver window (at least 32 tuples) amortizes sorting it;
+///    posting probes as the fallback.
 ///  * kBinary — the binary plan: atoms in written order with the delta
 ///    atom pinned first, a depth-1 merge cursor wherever the first two
 ///    atoms share a variable (regardless of window size), posting probes
 ///    below, never leapfrog. Kept as the naive-oracle executor of the
 ///    equivalence tests and the `/binary` benchmark companion.
+/// Either way the merge cursor needs a non-empty second relation, and
+/// an atom whose every position is bound is one dedup-table lookup.
 enum class JoinStrategy : uint8_t { kAuto, kBinary };
 
 /// Options for a body-matching pass.
@@ -120,84 +123,81 @@ struct MatchOptions {
   /// so a callback-side check alone would never fire. Trips as
   /// ResourceExhausted.
   std::chrono::steady_clock::time_point deadline{};
-
-  /// Depth-0 shard injection (the parallel chase scheduler, chase.cc).
-  /// When `driver_order` is non-null, the join's first atom enumerates
-  /// exactly driver_order[0 .. driver_order_size) — tuple indices of its
-  /// relation, typically one contiguous slice of PlanMatchDriver's
-  /// `order` — instead of choosing its own depth-0 access path.
-  /// `driver_sorted` marks the order as value order of the planned
-  /// driver column (SortWindow order), which re-enables the depth-1
-  /// merge cursor exactly as in an unsharded run. `driver_body_index`
-  /// pins the body atom the shard was planned for; MatchBody returns
-  /// Internal on a plan mismatch instead of enumerating the wrong atom.
-  /// Shard matchers never mutate the instance's lazy indexes, so any
-  /// number of them may run concurrently over an instance whose read
-  /// relations were frozen (Relation::FreezeIndexes).
-  const uint32_t* driver_order = nullptr;
-  size_t driver_order_size = 0;
-  bool driver_sorted = false;
-  int driver_body_index = -1;
 };
 
-/// The depth-0 enumeration of a MatchBody pass, exposed so the parallel
-/// chase can split it into shards: which body atom the join plan
-/// enumerates first, and the exact tuple visit order a single-threaded
-/// MatchBody with the same options would use.
+using MatchFn = std::function<bool(const Match&)>;
+
+class JoinRun;  // the executor's per-run state (match.cc)
+
+/// The join plan of one body-matching pass, built once and then only
+/// read. Per depth it records the atom, its window and one access path:
+/// scan, sorted scan (depth 0, value order of one column), postings,
+/// find-index (every position bound), merge cursor (depth 1, fed by the
+/// sorted scan) or leapfrog (the residual below the driver, joined
+/// variable at a time). Facts known before the pass starts are settled
+/// here rather than at run time: the kAuto merge threshold, an empty
+/// merge-cursor relation, and the depth-0 visit order itself. The
+/// executor, the shard scheduler, the index freezer and EXPLAIN all
+/// read these decisions; none re-derives them.
 ///
-/// Sharding contract: running MatchBody once per contiguous slice of
-/// `order` (MatchOptions::driver_* pointing at the slice) and
-/// concatenating the match streams in slice order reproduces the
-/// unsharded match stream exactly — same matches, same order.
-struct DriverPlan {
-  /// Body index of the depth-0 atom; -1 when the body has no positive
-  /// atoms (fall back to an unsharded MatchBody).
-  int body_index = -1;
-  /// True when `order` is in value order of the driver column (the
-  /// merge-join driver); false for ascending tuple-index order.
-  bool sorted = false;
-  /// Depth-0 tuple visit order, already window-clamped. May be a
-  /// superset of the matching tuples (shards re-check bound positions
-  /// by unification); empty when the pass can have no matches.
-  std::vector<uint32_t> order;
-  /// The (predicate, position) pairs whose sorted permutation indexes
-  /// the planned join may read below depth 0 (posting probes on
-  /// statically-bound positions, plus the depth-1 merge cursor). The
-  /// scheduler must freeze exactly these (Relation::FreezeIndex) before
-  /// concurrent fan-out; everything else the matchers touch is
-  /// insert-stable storage. Deliberately NOT every position of every
-  /// body relation: blanket freezing would eagerly build and maintain
-  /// permutations the join never reads — on linear rules like
-  /// tc(X,Z) :- edge(X,Y), tc(Y,Z) that is an O(|tc|) merge per pass
-  /// for indexes only the driver's delta window ever needed.
-  std::vector<std::pair<datalog::PredicateId, uint32_t>> probe_index_pairs;
-  /// The multi-position lexicographic permutations a leapfrog residual
-  /// join walks below depth 0 (Relation::LexPerm keys). The scheduler
-  /// must freeze exactly these (Relation::FreezeLex) before concurrent
-  /// fan-out; single-position leapfrog keys alias the sorted
-  /// permutation and appear in probe_index_pairs instead. Empty unless
-  /// the plan engages the leapfrog operator.
-  std::vector<std::pair<datalog::PredicateId, std::vector<uint32_t>>>
-      lex_index_pairs;
+/// Sharding contract: running the plan once per contiguous slice of
+/// [0, driver_size()) and concatenating the match streams in slice
+/// order reproduces the match stream of the whole run exactly — same
+/// matches, same order. Runs never mutate the plan, so any number of
+/// them may share one plan concurrently, once FreezeIndexes has synced
+/// what they read.
+///
+/// The rule and the instance must outlive the plan, and the instance
+/// must not change while a run is in progress. Building the plan may
+/// build lazy sorted indexes; do it on the scheduling thread, before
+/// freezing and fan-out.
+class JoinPlan {
+ public:
+  JoinPlan(const datalog::Rule& rule, const Instance& instance,
+           const MatchOptions& options);
+  ~JoinPlan();
+
+  /// Length of the depth-0 visit order: the driver window in tuple-index
+  /// or value order, or the driver's posting intersection — already
+  /// window-clamped. 0 also when a seeded plan probes its first atom:
+  /// those candidates depend on the seed's values, so they are read per
+  /// run and such a plan only runs whole.
+  size_t driver_size() const;
+
+  /// Enumerates all homomorphisms h with h(body+) ⊆ instance and
+  /// h(body−) ∩ instance = ∅ whose depth-0 fact is one of the visit
+  /// order's entries [begin, end), invoking `fn` per match. `fn`
+  /// returning false stops the run. Returns InvalidArgument when a
+  /// negated atom still has an unbound variable once the positive body
+  /// is matched (an unsafe rule that bypassed Program validation)
+  /// instead of silently dropping answers.
+  Status Run(size_t begin, size_t end, const MatchFn& fn) const;
+
+  /// Syncs every lazy index a run reads below depth 0 — the posting
+  /// probes' sorted permutations; the merge cursor's and the leapfrog
+  /// residual's indexes are synced when the plan is built — so that
+  /// runs over the unchanged instance only read immutable state
+  /// (Relation::FreezeIndex). Deliberately not every position of every
+  /// body relation: on linear rules like tc(X,Z) :- edge(X,Y), tc(Y,Z)
+  /// that would be an O(|tc|) merge per pass for indexes only the
+  /// driver's delta window ever needed.
+  void FreezeIndexes() const;
+
+  /// Renders the plan: the strategy, then one line per positive body
+  /// atom in join order with its access path and the estimate the
+  /// planner ranked it by (per intermediate binding, from
+  /// Relation::EstimatedDistinct) over its window.
+  std::string Explain() const;
+
+ private:
+  friend class JoinRun;
+  struct Impl;
+  std::unique_ptr<const Impl> impl_;
 };
 
-/// Plans the depth-0 enumeration for (rule, instance, options). Runs on
-/// the scheduling thread and may build lazy sorted indexes; call before
-/// freezing and fan-out.
-DriverPlan PlanMatchDriver(const datalog::Rule& rule,
-                           const Instance& instance,
-                           const MatchOptions& options);
-
-/// Enumerates all homomorphisms h with h(body+) ⊆ instance and
-/// h(body−) ∩ instance = ∅, invoking `fn` per match. `fn` returning
-/// false stops the enumeration. Atoms are joined in the order and with
-/// the access paths `options.join_strategy` plans. Returns
-/// InvalidArgument when a negated atom still has an unbound variable
-/// once the positive body is matched (an unsafe rule that bypassed
-/// Program validation) instead of silently dropping answers.
+/// Plans one pass and runs it whole.
 Status MatchBody(const datalog::Rule& rule, const Instance& instance,
-                 const MatchOptions& options,
-                 const std::function<bool(const Match&)>& fn);
+                 const MatchOptions& options, const MatchFn& fn);
 
 /// Convenience: true iff the conjunction of (positive) `atoms` has at
 /// least one homomorphism into `instance` extending `seed`. Plans the
@@ -207,15 +207,15 @@ Status MatchBody(const datalog::Rule& rule, const Instance& instance,
 bool HasMatch(const std::vector<datalog::Atom>& atoms,
               const Instance& instance, const Binding& seed);
 
-/// HasMatch for one positive atom, planned once and re-seeded per
-/// call: true iff some fact with tuple index below `window_end` matches
-/// `atom` extending `seed`. Every seed must bind the same variables in
-/// the same order as the `prototype` the probe was planned with. The
-/// window lets the probe ignore facts appended after construction, and
-/// its posting reads stay on the permutation prefix synced for that
-/// window (Relation::Postings), so a growing relation is not re-indexed
-/// per call. The restricted chase builds one per pass of a
-/// single-head-atom existential rule.
+/// HasMatch for one positive atom: one plan, and one run re-seeded per
+/// call. True iff some fact with tuple index below `window_end`
+/// matches `atom` extending `seed`. Every seed must bind the same
+/// variables in the same order as the `prototype` the probe was planned
+/// with. The window lets the probe ignore facts appended after
+/// construction, and its posting reads stay on the permutation prefix
+/// synced for that window (Relation::Postings), so a growing relation
+/// is not re-indexed per call. The restricted chase builds one per pass
+/// of a single-head-atom existential rule.
 class AtomProbe {
  public:
   AtomProbe(const datalog::Atom& atom, const Instance& instance,
@@ -228,16 +228,6 @@ class AtomProbe {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Renders the join plan MatchBody would execute for (rule, instance,
-/// options): one line per positive body atom in join order with its
-/// access path and estimated cardinality per intermediate binding, plus
-/// the chosen strategy. Reads the same statistics the planner reads
-/// (Relation::EstimatedDistinct), so the output reflects the actual
-/// decision, not a re-derivation.
-std::string ExplainMatchPlan(const datalog::Rule& rule,
-                             const Instance& instance,
-                             const MatchOptions& options);
 
 }  // namespace triq::chase
 

@@ -38,6 +38,29 @@ thread_local int tls_parallel_pass_depth = 0;
 // See TuplesSortedOnThisThread.
 thread_local uint64_t tls_tuples_sorted = 0;
 
+// Extends a permutation to its new size: `*perm` is sorted under `less`
+// on [0, synced) and on [synced, sorted_end) (a promoted run; empty when
+// sorted_end == synced). Fills the tail [sorted_end, size) with its
+// tuple indices, sorts it, and merges the runs into one sorted order,
+// counting every sorted or merged entry in tls_tuples_sorted.
+template <typename Less>
+void SortTailAndMerge(std::vector<uint32_t>* perm, uint32_t synced,
+                      uint32_t sorted_end, const Less& less) {
+  const uint32_t count = static_cast<uint32_t>(perm->size());
+  const auto begin = perm->begin();
+  for (uint32_t idx = sorted_end; idx < count; ++idx) begin[idx] = idx;
+  std::sort(begin + sorted_end, perm->end(), less);
+  tls_tuples_sorted += count - sorted_end;
+  if (sorted_end > synced && sorted_end < count) {
+    std::inplace_merge(begin + synced, begin + sorted_end, perm->end(), less);
+    tls_tuples_sorted += count - synced;
+  }
+  if (synced > 0) {
+    std::inplace_merge(begin, begin + synced, perm->end(), less);
+    tls_tuples_sorted += count;
+  }
+}
+
 }  // namespace
 
 ParallelPassScope::ParallelPassScope(bool active) : active_(active) {
@@ -211,7 +234,6 @@ void Relation::SyncSorted(uint32_t pos) const {
   if (synced == count_) return;
   TRIQ_DCHECK_FROZEN("sorted permutation");
   perm.resize(count_);
-  auto by_value = ByValueThenIndex(ColumnData(pos));
   // Promote a memoized window run that starts exactly at the unsynced
   // tail (the common chase shape: the round's delta slice was already
   // sorted for the merge-join driver): splice it in pre-sorted and only
@@ -224,19 +246,7 @@ void Relation::SyncSorted(uint32_t pos) const {
               perm.begin() + synced);
     promoted = index.window_end;
   }
-  for (uint32_t idx = promoted; idx < count_; ++idx) perm[idx] = idx;
-  std::sort(perm.begin() + promoted, perm.end(), by_value);
-  tls_tuples_sorted += count_ - promoted;
-  if (promoted > synced && promoted < count_) {
-    std::inplace_merge(perm.begin() + synced, perm.begin() + promoted,
-                       perm.end(), by_value);
-    tls_tuples_sorted += count_ - synced;
-  }
-  if (synced > 0) {
-    std::inplace_merge(perm.begin(), perm.begin() + synced, perm.end(),
-                       by_value);
-    tls_tuples_sorted += count_;
-  }
+  SortTailAndMerge(&perm, synced, promoted, ByValueThenIndex(ColumnData(pos)));
 }
 
 SortedRange Relation::Sorted(uint32_t position) const {
@@ -366,22 +376,14 @@ const std::vector<uint32_t>& Relation::LexPerm(
   uint32_t synced = static_cast<uint32_t>(perm.size());
   if (synced == count_) return perm;
   perm.resize(count_);
-  for (uint32_t idx = synced; idx < count_; ++idx) perm[idx] = idx;
-  auto by_lex = [this, &key](uint32_t a, uint32_t b) {
+  SortTailAndMerge(&perm, synced, synced, [this, &key](uint32_t a, uint32_t b) {
     for (uint32_t pos : key) {
       Term va = Value(pos, a);
       Term vb = Value(pos, b);
       if (va != vb) return va < vb;
     }
     return a < b;
-  };
-  std::sort(perm.begin() + synced, perm.end(), by_lex);
-  tls_tuples_sorted += count_ - synced;
-  if (synced > 0) {
-    std::inplace_merge(perm.begin(), perm.begin() + synced, perm.end(),
-                       by_lex);
-    tls_tuples_sorted += count_;
-  }
+  });
   return perm;
 }
 

@@ -168,12 +168,12 @@ class SortedRange {
 // The parallel chase relies on a convention: every lazily built index a
 // sharded pass can touch (sorted permutations, lex permutations, window
 // memos, distinct-count caches) must be frozen — built via FreezeIndex /
-// FreezeLex — BEFORE fan-out, so worker threads only ever hit the
+// LexPerm — BEFORE fan-out, so worker threads only ever hit the
 // immutable early-return paths. ParallelPassScope marks the calling
-// thread as being inside such a sharded slice (MatchBody enters it when
-// the caller injects a driver_order shard), and the index builders
-// assert via TRIQ_DCHECK_FROZEN that no mutable build runs while the
-// mark is set. The checks compile away under NDEBUG.
+// thread as being inside such a sharded slice (the chase's shard
+// scheduler enters it around each slice of a JoinPlan it runs), and the
+// index builders assert via TRIQ_DCHECK_FROZEN that no mutable build
+// runs while the mark is set. The checks compile away under NDEBUG.
 
 /// RAII marker: while alive (and constructed with active = true), the
 /// calling thread is inside a sharded parallel match. Nests.
@@ -200,7 +200,7 @@ bool InParallelPass();
 uint64_t TuplesSortedOnThisThread();
 
 /// Asserts the frozen-index contract at an index-mutation site: building
-/// `what` during a sharded parallel pass means FreezeIndex/FreezeLex was
+/// `what` during a sharded parallel pass means FreezeIndex/LexPerm was
 /// skipped for a (relation, position) the join plan probes — a data race
 /// in release builds. No-op under NDEBUG.
 #ifndef NDEBUG
@@ -327,7 +327,7 @@ class Relation {
   /// safe under concurrent readers: a frozen Sorted finds nothing left
   /// to sync, so no mutable state is touched. The parallel chase
   /// freezes exactly the (relation, position) pairs a pass's join plan
-  /// can probe (DriverPlan::probe_index_pairs) before fan-out.
+  /// can probe (JoinPlan::FreezeIndexes) before fan-out.
   /// SortWindow joins the frozen read set only for the full window
   /// [0, size()) (it answers from the synced permutation); partial
   /// windows still memoize, so concurrent matchers receive pre-built
@@ -389,13 +389,9 @@ class Relation {
   /// index. The returned reference is valid until the next insert.
   /// Thread-safe on a relation that no longer grows (a published
   /// snapshot): concurrent callers share one build per key.
+  /// A JoinPlan with a leapfrog residual builds its lex permutations
+  /// while it is planned, before parallel fan-out.
   const std::vector<uint32_t>& LexPerm(const std::vector<uint32_t>& key) const;
-
-  /// Syncs the lex permutation for `key` so concurrent matchers can read
-  /// it without touching mutable state — the multi-position counterpart
-  /// of FreezeIndex, driven by DriverPlan::lex_index_pairs before
-  /// parallel fan-out.
-  void FreezeLex(const std::vector<uint32_t>& key) const { LexPerm(key); }
 
  private:
   friend class BatchInserter;
@@ -510,7 +506,7 @@ class Relation {
   };
   std::vector<DistinctSketch> sketches_;
   // Multi-position lex permutations, keyed by position sequence; built
-  // and extended lazily (FreezeLex pre-builds before parallel fan-out;
+  // and extended lazily (JoinPlan pre-builds before parallel fan-out;
   // std::map so extending one key never moves another's storage). The
   // find-or-build runs under the memo's lock: concurrent query chases
   // over one published snapshot may each build a key nobody froze.

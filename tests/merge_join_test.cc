@@ -88,10 +88,13 @@ TEST(MergeJoinMatchTest, StrategiesEnumerateTheSameMatches) {
   }
 }
 
-/// Plan-shape coverage for the two-strategy grids: ExplainMatchPlan shows
+/// Plan-shape coverage for the two-strategy grids: JoinPlan::Explain shows
 /// kAuto still planning merge, posting-probe, find-index and leapfrog
 /// access paths on the shapes built for them, and kBinary never planning
 /// leapfrog — so the {kAuto, kBinary} sweeps reach every access path.
+/// EXPLAIN renders the plan the executor runs: a kAuto driver window
+/// too small to amortize its sort probes postings instead of merging,
+/// and a fully bound driver is one dedup-table lookup.
 TEST(JoinPlanShapeTest, StrategiesReachEveryAccessPath) {
   auto dict = Dict();
   chase::Instance db(dict);
@@ -103,11 +106,14 @@ TEST(JoinPlanShapeTest, StrategiesReachEveryAccessPath) {
                      "c" + std::to_string(rng() % 12)});
     db.AddFact("tc", {"n" + std::to_string(i), "n" + std::to_string(i + 1)});
   }
+  for (int i = 0; i < 10; ++i) {
+    db.AddFact("s", {"a" + std::to_string(i), "b" + std::to_string(i)});
+  }
   auto plan = [&](std::string_view rule_text, chase::JoinStrategy strategy) {
     chase::MatchOptions options;
     options.join_strategy = strategy;
-    return chase::ExplainMatchPlan(ParseR(rule_text, dict.get()), db,
-                                   options);
+    datalog::Rule rule = ParseR(rule_text, dict.get());
+    return chase::JoinPlan(rule, db, options).Explain();
   };
   auto has = [](const std::string& text, std::string_view needle) {
     return text.find(needle) != std::string::npos;
@@ -115,6 +121,8 @@ TEST(JoinPlanShapeTest, StrategiesReachEveryAccessPath) {
   const std::string_view kMergeJoin = "e(?X, ?Y), f(?Y, ?Z) -> g(?X, ?Z)";
   const std::string_view kProbe = "e(a1, ?Y), f(?Y, ?Z) -> g(?Z)";
   const std::string_view kGround = "e(a1, ?Y), f(?Y, c2) -> g(?Y)";
+  const std::string_view kSmallDriver = "s(?X, ?Y), f(?Y, ?Z) -> g(?X, ?Z)";
+  const std::string_view kGroundDriver = "e(a1, b2), f(b2, ?Z) -> g(?Z)";
   const std::string_view kTriangle =
       "e(?X, ?Y), e(?Y, ?Z), e(?Z, ?X) -> t(?X)";
   const std::string_view kChain =
@@ -126,21 +134,33 @@ TEST(JoinPlanShapeTest, StrategiesReachEveryAccessPath) {
   std::string probe = plan(kProbe, chase::JoinStrategy::kAuto);
   EXPECT_TRUE(has(probe, "0: e(a1, ?Y)  postings")) << probe;
   EXPECT_TRUE(has(probe, "1: f(?Y, ?Z)  postings")) << probe;
+  EXPECT_TRUE(has(probe, "strategy: postings (auto)")) << probe;
   std::string ground = plan(kGround, chase::JoinStrategy::kAuto);
   EXPECT_TRUE(has(ground, "find-index")) << ground;
+  std::string small = plan(kSmallDriver, chase::JoinStrategy::kAuto);
+  EXPECT_TRUE(has(small, "strategy: postings (auto)")) << small;
+  EXPECT_TRUE(has(small, "0: s(?X, ?Y)  scan")) << small;
+  EXPECT_TRUE(has(small, "1: f(?Y, ?Z)  postings")) << small;
+  EXPECT_FALSE(has(small, "merge")) << small;
+  EXPECT_FALSE(has(small, "sorted-scan")) << small;
+  std::string ground_driver = plan(kGroundDriver, chase::JoinStrategy::kAuto);
+  EXPECT_TRUE(has(ground_driver, "0: e(a1, b2)  find-index")) << ground_driver;
   for (std::string_view shape : {kTriangle, kChain}) {
     std::string text = plan(shape, chase::JoinStrategy::kAuto);
     EXPECT_TRUE(has(text, "strategy: leapfrog (auto)")) << text;
     EXPECT_TRUE(has(text, "leapfrog[")) << text;
   }
 
-  for (std::string_view shape :
-       {kMergeJoin, kProbe, kGround, kTriangle, kChain}) {
+  for (std::string_view shape : {kMergeJoin, kProbe, kGround, kSmallDriver,
+                                  kGroundDriver, kTriangle, kChain}) {
     std::string text = plan(shape, chase::JoinStrategy::kBinary);
     EXPECT_TRUE(has(text, "(binary)")) << text;
     EXPECT_FALSE(has(text, "leapfrog")) << text;
   }
   EXPECT_TRUE(has(plan(kMergeJoin, chase::JoinStrategy::kBinary),
+                  "strategy: merge (binary)"));
+  // kBinary merges whatever the driver window's size.
+  EXPECT_TRUE(has(plan(kSmallDriver, chase::JoinStrategy::kBinary),
                   "strategy: merge (binary)"));
   EXPECT_TRUE(
       has(plan(kTriangle, chase::JoinStrategy::kBinary), "merge-cursor"));

@@ -5,7 +5,7 @@
 // indexes, same null identities — and identical stats. These tests pin
 // that down with storage-order fingerprints across an equivalence sweep
 // (naive vs. seminaive × threads ∈ {1, 2, 4, 8}), at
-// the MatchBody level via the DriverPlan sharding contract, on the
+// the match-stream level via the JoinPlan sharding contract, on the
 // degenerate shard shapes (empty delta, single tuple, too small to
 // shard), and for the work-stealing pool itself.
 #include <gtest/gtest.h>
@@ -315,70 +315,110 @@ TEST(ParallelChaseTest, WindowSmallerThanTwoShardsStaysSequential) {
   EXPECT_EQ(work.Find("seen")->size(), 7u);
 }
 
-// ---- the DriverPlan sharding contract at the MatchBody level ----------
+// ---- the JoinPlan sharding contract at the match-stream level --------
 
-/// Collects the match stream (order-sensitive!) of one MatchBody pass.
-std::vector<std::string> MatchStream(const datalog::Rule& rule,
-                                     const Instance& db,
-                                     const chase::MatchOptions& options) {
-  std::vector<std::string> out;
-  Status status =
-      MatchBody(rule, db, options, [&](const chase::Match& match) {
-        std::string line;
-        for (const auto& [var, val] : match.binding->entries()) {
-          line += datalog::TermToString(var, db.dict()) + "=" +
-                  datalog::TermToString(val, db.dict()) + " ";
-        }
-        out.push_back(line);
-        return true;
-      });
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  return out;
+/// Renders one match (binding entries in bind order) as a line.
+std::string MatchLine(const chase::Match& match, const Instance& db) {
+  std::string line;
+  for (const auto& [var, val] : match.binding->entries()) {
+    line += datalog::TermToString(var, db.dict()) + "=" +
+            datalog::TermToString(val, db.dict()) + " ";
+  }
+  return line;
 }
 
-TEST(DriverPlanTest, ConcatenatedShardsEqualUnshardedStream) {
+/// Expects that the slices of one shared JoinPlan, each run as a
+/// parallel-pass shard over the plan's frozen indexes, concatenate to
+/// the unsharded match stream (order-sensitive!) for several shard
+/// counts. Each side works on its own clone of `pristine`, so the
+/// unsharded run syncs nothing the shards read: in a debug build a
+/// slice that touches an index FreezeIndexes missed trips
+/// TRIQ_DCHECK_FROZEN.
+void ExpectShardsEqualUnsharded(const Instance& pristine,
+                                const datalog::Rule& rule,
+                                const chase::MatchOptions& options,
+                                size_t min_driver) {
+  Instance whole = pristine.CloneFacts();
+  std::vector<std::string> unsharded;
+  Status status =
+      MatchBody(rule, whole, options, [&](const chase::Match& match) {
+        unsharded.push_back(MatchLine(match, whole));
+        return true;
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_FALSE(unsharded.empty());
+
+  Instance sharded = pristine.CloneFacts();
+  const chase::JoinPlan plan(rule, sharded, options);
+  ASSERT_GE(plan.driver_size(), min_driver);
+  plan.FreezeIndexes();
+  for (size_t num_shards : {1, 2, 3, 7}) {
+    std::vector<std::string> concatenated;
+    for (size_t s = 0; s < num_shards; ++s) {
+      chase::ParallelPassScope scope(true);
+      status = plan.Run(plan.driver_size() * s / num_shards,
+                        plan.driver_size() * (s + 1) / num_shards,
+                        [&](const chase::Match& match) {
+                          concatenated.push_back(MatchLine(match, sharded));
+                          return true;
+                        });
+      ASSERT_TRUE(status.ok()) << status.ToString();
+    }
+    EXPECT_EQ(concatenated, unsharded)
+        << datalog::RuleToString(rule, pristine.dict()) << ", strategy "
+        << static_cast<int>(options.join_strategy) << ", delta atom "
+        << options.delta_body_index << ", " << num_shards << " shards";
+  }
+}
+
+TEST(JoinPlanShardTest, ConcatenatedShardsEqualUnshardedStream) {
   auto dict = std::make_shared<Dictionary>();
   Instance db(dict);
   for (int i = 0; i < 150; ++i) {
     db.AddFact("e", {"a" + std::to_string(i % 25), "b" + std::to_string(i)});
     db.AddFact("f", {"b" + std::to_string(i), "c" + std::to_string(i % 10)});
   }
-  auto rule = datalog::ParseRule("e(?X, ?Y), f(?Y, ?Z) -> g(?X, ?Z)",
+  // A dense graph over 20 nodes with many triangles.
+  for (int i = 0; i < 200; ++i) {
+    db.AddFact("g", {"n" + std::to_string(i % 20),
+                     "n" + std::to_string((i * 7 + i / 20) % 20)});
+  }
+  auto join = datalog::ParseRule("e(?X, ?Y), f(?Y, ?Z) -> h(?X, ?Z)",
                                  dict.get());
-  ASSERT_TRUE(rule.ok());
+  // A constant in the driver: depth 1 probes postings.
+  auto probe = datalog::ParseRule("e(a3, ?Y), f(?Y, ?Z) -> h(?Y, ?Z)",
+                                  dict.get());
+  auto triangle = datalog::ParseRule(
+      "g(?X, ?Y), g(?Y, ?Z), g(?Z, ?X) -> t(?X, ?Y, ?Z)", dict.get());
+  ASSERT_TRUE(join.ok());
+  ASSERT_TRUE(probe.ok());
+  ASSERT_TRUE(triangle.ok());
   for (auto strategy :
        {chase::JoinStrategy::kAuto, chase::JoinStrategy::kBinary}) {
     chase::MatchOptions options;
     options.join_strategy = strategy;
-    std::vector<std::string> unsharded = MatchStream(*rule, db, options);
-    ASSERT_FALSE(unsharded.empty());
+    ExpectShardsEqualUnsharded(db, *join, options, 150);
+    ExpectShardsEqualUnsharded(db, *probe, options, 6);
+    // kAuto joins the residual as a leapfrog triejoin.
+    ExpectShardsEqualUnsharded(db, *triangle, options, 150);
 
-    chase::DriverPlan plan = chase::PlanMatchDriver(*rule, db, options);
-    ASSERT_GE(plan.body_index, 0);
-    for (const auto& entry : db.relations()) entry.second.FreezeIndexes();
-    for (size_t num_shards : {1, 2, 3, 7}) {
-      std::vector<std::string> concatenated;
-      for (size_t s = 0; s < num_shards; ++s) {
-        size_t begin = plan.order.size() * s / num_shards;
-        size_t end = plan.order.size() * (s + 1) / num_shards;
-        chase::MatchOptions shard = options;
-        shard.driver_order = plan.order.data() + begin;
-        shard.driver_order_size = end - begin;
-        shard.driver_sorted = plan.sorted;
-        shard.driver_body_index = plan.body_index;
-        std::vector<std::string> piece = MatchStream(*rule, db, shard);
-        concatenated.insert(concatenated.end(), piece.begin(), piece.end());
-      }
-      EXPECT_EQ(concatenated, unsharded)
-          << "strategy " << static_cast<int>(strategy) << ", " << num_shards
-          << " shards";
-    }
+    // A delta-windowed pass of each shape: the driver is the delta
+    // window, the other atoms are capped by atom_end.
+    chase::MatchOptions delta = options;
+    delta.delta_body_index = 1;
+    delta.delta_begin = 30;
+    delta.delta_end = 140;
+    delta.atom_end = {120, chase::kNoTupleLimit};
+    ExpectShardsEqualUnsharded(db, *join, delta, 110);
+    delta.delta_body_index = 0;
+    delta.atom_end = {chase::kNoTupleLimit, 180, 170};
+    ExpectShardsEqualUnsharded(db, *triangle, delta, 110);
   }
 }
 
-TEST(DriverPlanTest, BoundPositionPlansAscendingSupersets) {
-  // A constant in the depth-0 atom: the plan's order is the shortest
-  // posting list (ascending); shards re-check by unification.
+TEST(JoinPlanShardTest, BoundPositionPlansItsPostingList) {
+  // A constant in the depth-0 atom: the depth-0 order is its posting
+  // list, in ascending tuple-index order.
   auto dict = std::make_shared<Dictionary>();
   Instance db(dict);
   for (int i = 0; i < 80; ++i) {
@@ -387,35 +427,8 @@ TEST(DriverPlanTest, BoundPositionPlansAscendingSupersets) {
   }
   auto rule = datalog::ParseRule("t(?X, e, ?Y) -> hop(?X, ?Y)", dict.get());
   ASSERT_TRUE(rule.ok());
-  chase::MatchOptions options;
-  chase::DriverPlan plan = chase::PlanMatchDriver(*rule, db, options);
-  ASSERT_GE(plan.body_index, 0);
-  EXPECT_FALSE(plan.sorted);
-  EXPECT_EQ(plan.order.size(), 40u);  // the 'e' posting list, not all 80
-  EXPECT_TRUE(std::is_sorted(plan.order.begin(), plan.order.end()));
-  std::vector<std::string> unsharded = MatchStream(*rule, db, options);
-  chase::MatchOptions shard = options;
-  shard.driver_order = plan.order.data();
-  shard.driver_order_size = plan.order.size();
-  shard.driver_sorted = plan.sorted;
-  shard.driver_body_index = plan.body_index;
-  EXPECT_EQ(MatchStream(*rule, db, shard), unsharded);
-}
-
-TEST(DriverPlanTest, MismatchedBodyIndexFailsLoudly) {
-  auto dict = std::make_shared<Dictionary>();
-  Instance db(dict);
-  db.AddFact("e", {"a", "b"});
-  auto rule = datalog::ParseRule("e(?X, ?Y) -> r(?X, ?Y)", dict.get());
-  ASSERT_TRUE(rule.ok());
-  uint32_t order[] = {0};
-  chase::MatchOptions options;
-  options.driver_order = order;
-  options.driver_order_size = 1;
-  options.driver_body_index = 5;  // not the planned depth-0 atom
-  Status status = MatchBody(*rule, db, options,
-                            [](const chase::Match&) { return true; });
-  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(chase::JoinPlan(*rule, db, {}).driver_size(), 40u);
+  ExpectShardsEqualUnsharded(db, *rule, {}, 40);
 }
 
 // ---- the work-stealing pool ------------------------------------------

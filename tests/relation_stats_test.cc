@@ -191,7 +191,7 @@ TEST(FrozenContractTest, FrozenIndexesAreReadableInsideParallelPass) {
   }
   std::vector<uint32_t> key = {0, 1};
   rel.FreezeIndexes();
-  rel.FreezeLex(key);
+  (void)rel.LexPerm(key);
   (void)rel.DistinctValues(0);  // warm the cache pre-freeze-style
   chase::ParallelPassScope scope(true);
   // Every frozen read path stays on the immutable early returns: no
