@@ -110,6 +110,10 @@ void SuiteChase(const Config& config, const HarnessOptions& options) {
       if (!st.ok()) std::abort();
       (*counters)["facts_derived"] =
           static_cast<double>(stats.facts_derived);
+      if (threads == 1) {
+        (*counters)["tuples_sorted"] =
+            static_cast<double>(stats.tuples_sorted);
+      }
     });
   }
 
@@ -199,10 +203,13 @@ void SuiteChase(const Config& config, const HarnessOptions& options) {
     if (!query.ok()) std::abort();
     harness.Run("chase/clique_k3_complete/" + std::to_string(n),
                 [&](std::map<std::string, double>* counters) {
-                  auto answers = query->Evaluate(db);
+                  triq::chase::ChaseStats stats;
+                  auto answers = query->Evaluate(db, {}, &stats);
                   if (!answers.ok()) std::abort();
                   (*counters)["answers"] =
                       static_cast<double>(answers->size());
+                  (*counters)["tuples_sorted"] =
+                      static_cast<double>(stats.tuples_sorted);
                 });
   }
 
@@ -243,6 +250,8 @@ void SuiteChase(const Config& config, const HarnessOptions& options) {
         if (!st.ok()) std::abort();
         (*counters)["facts_derived"] =
             static_cast<double>(stats.facts_derived);
+        (*counters)["tuples_sorted"] =
+            static_cast<double>(stats.tuples_sorted);
       });
     }
   }
@@ -260,6 +269,8 @@ void SuiteChase(const Config& config, const HarnessOptions& options) {
                   if (!st.ok()) std::abort();
                   (*counters)["facts_derived"] =
                       static_cast<double>(stats.facts_derived);
+                  (*counters)["tuples_sorted"] =
+                      static_cast<double>(stats.tuples_sorted);
                 });
   }
 

@@ -598,12 +598,18 @@ class ChaseRun {
     return fired_.insert(std::move(key)).second;
   }
 
+  /// The -> false pass after the fixpoint, under the run's join
+  /// strategy and deadline like every other match pass.
   Status CheckConstraints() {
+    MatchOptions mo;
+    mo.join_strategy = options_.join_strategy;
+    if (deadline_set_) mo.deadline = options_.deadline;
     for (const Rule& rule : program_.rules()) {
       if (!rule.IsConstraint()) continue;
+      if (deadline_set_ && DeadlineExpired()) return DeadlineError();
       bool violated = false;
       TRIQ_RETURN_IF_ERROR(
-          MatchBody(rule, *instance_, MatchOptions{}, [&](const Match&) {
+          MatchBody(rule, *instance_, mo, [&](const Match&) {
             violated = true;
             return false;
           }));

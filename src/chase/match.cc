@@ -140,6 +140,12 @@ struct JoinPlan::Impl {
   std::vector<Term> bind_order;       // variables in plan binding order
   std::vector<size_t> bound_before;   // depth -> bound prefix of bind_order
 
+  /// Some positive atom has an empty window or an absent relation, so
+  /// the conjunction cannot match: the plan keeps its order and access
+  /// paths (EXPLAIN reads them) but builds no index, and its depth-0
+  /// visit order is empty.
+  bool empty = false;
+
   /// The depth-0 visit order: driver_order when materialized (sorted
   /// scan, postings, find-index), else the tuple indices
   /// [driver_first, driver_first + driver_size). Unsettled (read per
@@ -151,7 +157,6 @@ struct JoinPlan::Impl {
   SortedRange cursor_range;  // the merge cursor's sorted permutation
 
   bool leapfrog = false;     // the residual runs as a leapfrog triejoin
-  bool lf_possible = true;   // false: a residual relation is absent
   std::vector<LfAtom> lf_atoms;  // depth d >= 1 -> lf_atoms[d - 1]
   std::vector<LfVar> lf_vars;
 };
@@ -281,6 +286,7 @@ JoinPlan::Impl::Impl(const Rule& rule, const Instance& inst,
       step.rel = rel;
       step.end = std::min(end, rel->size());
     }
+    if (step.rel == nullptr || step.begin >= step.end) empty = true;
     positive.push_back(static_cast<int>(i));
     by_slot.push_back(step);
   }
@@ -422,7 +428,8 @@ bool JoinPlan::Impl::ShouldLeapfrog() const {
 /// occurrence positions as one contiguous level group — and per
 /// variable its participant list. Variables are ordered by first
 /// unbound occurrence across the residual in join order. The lex
-/// permutations are built here, on the planning thread.
+/// permutations are built here, on the planning thread, unless the
+/// plan is empty.
 void JoinPlan::Impl::PlanLeapfrog() {
   leapfrog = true;
   auto is_bound = [&](Term t) { return BoundAt(1, t); };
@@ -442,7 +449,6 @@ void JoinPlan::Impl::PlanLeapfrog() {
     Step& step = steps[depth];
     const Atom& atom = *step.atom;
     LfAtom a;
-    if (step.rel == nullptr) lf_possible = false;
     for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
       if (is_bound(atom.args[pos])) {
         a.levels.push_back(LfLevel{pos, atom.args[pos], -1, nullptr});
@@ -471,7 +477,7 @@ void JoinPlan::Impl::PlanLeapfrog() {
     a.fully_restricted = a.num_restricted == a.levels.size();
     step.access = a.fully_restricted ? Access::kFindIndex : Access::kLeapfrog;
     for (const LfLevel& level : a.levels) a.key.push_back(level.pos);
-    if (step.rel != nullptr && !a.fully_restricted) {
+    if (!empty && !a.fully_restricted) {
       a.perm = &step.rel->LexPerm(a.key);
       for (LfLevel& level : a.levels) {
         level.col = step.rel->Column(level.pos).begin();
@@ -483,12 +489,11 @@ void JoinPlan::Impl::PlanLeapfrog() {
 
 /// Materializes the depth-0 visit order: the window sorted by the
 /// driver column (after opening the merge cursor's permutation), or the
-/// driver's candidates under its constants. An absent relation or an
-/// empty window has no candidates and builds no index.
+/// driver's candidates under its constants. An empty plan has no
+/// candidates and builds no index.
 void JoinPlan::Impl::SettleDriver() {
-  if (steps.empty()) return;
+  if (steps.empty() || empty) return;
   const Step& driver = steps[0];
-  if (driver.rel == nullptr || driver.begin >= driver.end) return;
   switch (driver.access) {
     case Access::kScan:
       driver_first = driver.begin;
@@ -558,8 +563,7 @@ class JoinRun {
     if (depth == plan_.steps.size()) return EmitIfNegativesHold();
     if (plan_.leapfrog && depth == 1) {
       // The whole residual runs as one leapfrog join per driver tuple.
-      // An absent residual relation means no matches at all.
-      return plan_.lf_possible ? RunLeapfrog() : true;
+      return RunLeapfrog();
     }
     return Enumerate(depth);
   }
@@ -590,10 +594,11 @@ class JoinRun {
   }
 
   /// Enumerates a step below the depth-0 order (or the first step of an
-  /// unsettled plan) along its planned access path.
+  /// unsettled plan) along its planned access path. Runs of an empty
+  /// plan visit nothing, so every step here has a relation and a
+  /// non-empty window.
   bool Enumerate(size_t depth) {
     const Step& step = plan_.steps[depth];
-    if (step.rel == nullptr || step.begin >= step.end) return true;
     if (step.access == Access::kMergeCursor) {
       // The driver feeds nondecreasing values of the shared variable, so
       // one galloping cursor walks the sorted permutation forward
@@ -851,9 +856,10 @@ Status JoinPlan::Run(size_t begin, size_t end, const MatchFn& fn) const {
 
 void JoinPlan::FreezeIndexes() const {
   const Impl& plan = *impl_;
+  if (plan.empty) return;
   for (size_t depth = 1; depth < plan.steps.size(); ++depth) {
     const Step& step = plan.steps[depth];
-    if (step.access != Access::kPostings || step.rel == nullptr) continue;
+    if (step.access != Access::kPostings) continue;
     for (uint32_t pos = 0; pos < step.atom->args.size(); ++pos) {
       if (plan.BoundAt(depth, step.atom->args[pos])) {
         step.rel->FreezeIndex(pos);

@@ -147,6 +147,13 @@ class JoinRun;  // the executor's per-run state (match.cc)
 /// them may share one plan concurrently, once FreezeIndexes has synced
 /// what they read.
 ///
+/// A conjunction with a positive atom whose window is empty, or whose
+/// relation is absent, cannot match. Its plan still records the order
+/// and access paths (EXPLAIN is unchanged) but builds no index — no
+/// lex permutation, sorted permutation or sorted window — and its
+/// depth-0 visit order is empty, so runs (AtomProbe's and HasMatch's
+/// too) find nothing and read nothing.
+///
 /// The rule and the instance must outlive the plan, and the instance
 /// must not change while a run is in progress. Building the plan may
 /// build lazy sorted indexes; do it on the scheduling thread, before

@@ -22,14 +22,33 @@ inline bool Overloaded(uint32_t entries, uint32_t sub_size) {
   return (static_cast<uint64_t>(entries) + 1) * 8 > uint64_t{sub_size} * 7;
 }
 
-// The one permutation order everything agrees on: column value, with
-// ascending tuple index as the tiebreak (Equal() slices double as
-// posting lists and the merge cursor assumes the same order).
-auto ByValueThenIndex(const Term* column) {
-  return [column](uint32_t a, uint32_t b) {
+// LSD radix geometry: 11-bit digits of the 32-bit Term::raw() value,
+// least significant first (bits 0-10, 11-21, 22-31). Term ids below 2^22
+// vary in two digits; a labeled null's tag bits sit in the top one.
+constexpr uint32_t kRadixBits = 11;
+constexpr uint32_t kRadixBuckets = 1u << kRadixBits;
+constexpr uint32_t kRadixDigits = (32 + kRadixBits - 1) / kRadixBits;
+
+// The permutation orders: column value(s), with ascending tuple index
+// as the tiebreak (Equal() slices double as posting lists and the merge
+// cursor assumes the same order). One column keeps its own comparator:
+// the merges of a long synced prefix run it per entry.
+struct ColumnLess {
+  const Term* column;
+  bool operator()(uint32_t a, uint32_t b) const {
     return column[a] != column[b] ? column[a] < column[b] : a < b;
-  };
-}
+  }
+};
+struct KeyLess {
+  const Term* const* keys;
+  size_t num_keys;
+  bool operator()(uint32_t a, uint32_t b) const {
+    for (size_t k = 0; k < num_keys; ++k) {
+      if (keys[k][a] != keys[k][b]) return keys[k][a] < keys[k][b];
+    }
+    return a < b;
+  }
+};
 
 // Depth, not a flag: overlay matchers recurse into base-snapshot match
 // paths, and each layer may open its own scope.
@@ -38,19 +57,75 @@ thread_local int tls_parallel_pass_depth = 0;
 // See TuplesSortedOnThisThread.
 thread_local uint64_t tls_tuples_sorted = 0;
 
-// Extends a permutation to its new size: `*perm` is sorted under `less`
-// on [0, synced) and on [synced, sorted_end) (a promoted run; empty when
-// sorted_end == synced). Fills the tail [sorted_end, size) with its
-// tuple indices, sorts it, and merges the runs into one sorted order,
-// counting every sorted or merged entry in tls_tuples_sorted.
+// Writes the tuple indices [first, first + n) into out[0, n), ordered
+// by their values in keys[0], then keys[1], ..., keys[num_keys - 1]
+// (column base pointers), then ascending tuple index: the order `less`
+// (ColumnLess or KeyLess over the same columns) defines.
+//
+// From Relation::kRadixSortMinEntries up this is a stable LSD radix
+// sort: one pass per varying digit of each key position, last position
+// first, so ties keep the ascending tuple-index input order. Each
+// position's digit histograms come from one sequential sweep of its
+// column range; a digit every entry shares is skipped. The only scratch
+// is one uint32_t per entry, freed on return. Counts n in
+// tls_tuples_sorted.
+template <typename Less>
+void SortIndexRange(uint32_t first, uint32_t n, const Term* const* keys,
+                    size_t num_keys, const Less& less, uint32_t* out) {
+  for (uint32_t i = 0; i < n; ++i) out[i] = first + i;
+  tls_tuples_sorted += n;
+  if (n < Relation::kRadixSortMinEntries) {
+    std::sort(out, out + n, less);
+    return;
+  }
+  std::vector<uint32_t> scratch;
+  uint32_t* src = out;
+  for (size_t k = num_keys; k-- > 0;) {
+    const Term* column = keys[k];
+    uint32_t counts[kRadixDigits][kRadixBuckets] = {};
+    for (uint32_t i = first; i < first + n; ++i) {
+      const uint32_t v = column[i].raw();
+      for (uint32_t d = 0; d < kRadixDigits; ++d) {
+        ++counts[d][(v >> (d * kRadixBits)) & (kRadixBuckets - 1)];
+      }
+    }
+    const uint32_t sample = column[first].raw();
+    for (uint32_t d = 0; d < kRadixDigits; ++d) {
+      const uint32_t shift = d * kRadixBits;
+      uint32_t* offsets = counts[d];
+      if (offsets[(sample >> shift) & (kRadixBuckets - 1)] == n) continue;
+      uint32_t running = 0;
+      for (uint32_t b = 0; b < kRadixBuckets; ++b) {
+        const uint32_t c = offsets[b];
+        offsets[b] = running;
+        running += c;
+      }
+      if (scratch.empty()) scratch.resize(n);
+      uint32_t* dst = src == out ? scratch.data() : out;
+      for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t idx = src[i];
+        dst[offsets[(column[idx].raw() >> shift) & (kRadixBuckets - 1)]++] =
+            idx;
+      }
+      src = dst;
+    }
+  }
+  if (src != out) std::copy(src, src + n, out);
+}
+
+// Extends a permutation to its new size: `*perm` is sorted by `less` on
+// [0, synced) and on [synced, sorted_end) (a promoted run; empty when
+// sorted_end == synced). Sorts the tail [sorted_end, size) with
+// SortIndexRange and merges the runs into one sorted order, counting
+// every sorted or merged entry in tls_tuples_sorted.
 template <typename Less>
 void SortTailAndMerge(std::vector<uint32_t>* perm, uint32_t synced,
-                      uint32_t sorted_end, const Less& less) {
+                      uint32_t sorted_end, const Term* const* keys,
+                      size_t num_keys, const Less& less) {
   const uint32_t count = static_cast<uint32_t>(perm->size());
   const auto begin = perm->begin();
-  for (uint32_t idx = sorted_end; idx < count; ++idx) begin[idx] = idx;
-  std::sort(begin + sorted_end, perm->end(), less);
-  tls_tuples_sorted += count - sorted_end;
+  SortIndexRange(sorted_end, count - sorted_end, keys, num_keys, less,
+                 perm->data() + sorted_end);
   if (sorted_end > synced && sorted_end < count) {
     std::inplace_merge(begin + synced, begin + sorted_end, perm->end(), less);
     tls_tuples_sorted += count - synced;
@@ -246,7 +321,8 @@ void Relation::SyncSorted(uint32_t pos) const {
               perm.begin() + synced);
     promoted = index.window_end;
   }
-  SortTailAndMerge(&perm, synced, promoted, ByValueThenIndex(ColumnData(pos)));
+  const Term* column = ColumnData(pos);
+  SortTailAndMerge(&perm, synced, promoted, &column, 1, ColumnLess{column});
 }
 
 SortedRange Relation::Sorted(uint32_t position) const {
@@ -293,10 +369,10 @@ void Relation::SortWindow(uint32_t position, uint32_t begin, uint32_t end,
     return;
   }
   TRIQ_DCHECK_FROZEN("sort-window memo");
-  out->reserve(end - begin);
-  for (uint32_t idx = begin; idx < end; ++idx) out->push_back(idx);
-  std::sort(out->begin(), out->end(), ByValueThenIndex(ColumnData(position)));
-  tls_tuples_sorted += end - begin;
+  out->resize(end - begin);
+  const Term* column = ColumnData(position);
+  SortIndexRange(begin, end - begin, &column, 1, ColumnLess{column},
+                 out->data());
   index.window_perm = *out;
   index.window_begin = begin;
   index.window_end = end;
@@ -376,14 +452,10 @@ const std::vector<uint32_t>& Relation::LexPerm(
   uint32_t synced = static_cast<uint32_t>(perm.size());
   if (synced == count_) return perm;
   perm.resize(count_);
-  SortTailAndMerge(&perm, synced, synced, [this, &key](uint32_t a, uint32_t b) {
-    for (uint32_t pos : key) {
-      Term va = Value(pos, a);
-      Term vb = Value(pos, b);
-      if (va != vb) return va < vb;
-    }
-    return a < b;
-  });
+  std::vector<const Term*> keys;
+  for (uint32_t pos : key) keys.push_back(ColumnData(pos));
+  SortTailAndMerge(&perm, synced, synced, keys.data(), keys.size(),
+                   KeyLess{keys.data(), keys.size()});
   return perm;
 }
 

@@ -197,6 +197,8 @@ bool InParallelPass();
 /// counter: index builds run on the scheduling thread only (the
 /// frozen-index contract), so the difference across a chase run is a
 /// deterministic measure of its sort work (ChaseStats::tuples_sorted).
+/// It counts entries, not comparisons: a radix-sorted run of n entries
+/// counts n, the same as the comparison sort it replaced.
 uint64_t TuplesSortedOnThisThread();
 
 /// Asserts the frozen-index contract at an index-mutation site: building
@@ -233,6 +235,13 @@ class Relation {
   /// count): batch-commit results must not depend on parallelism.
   static constexpr uint32_t kDedupPartitionBits = 4;
   static constexpr uint32_t kDedupPartitions = 1u << kDedupPartitionBits;
+
+  /// Permutation sorts (SyncSorted's tail, SortWindow, LexPerm's tail)
+  /// of at least this many entries run a stable LSD radix kernel over
+  /// the 11-bit digits of Term::raw(), skipping digits every entry
+  /// shares; smaller ones use std::sort, which wins there. Both give
+  /// the same order: key values, then tuple index.
+  static constexpr uint32_t kRadixSortMinEntries = 512;
 
   explicit Relation(uint32_t arity)
       : arity_(arity),
@@ -354,7 +363,8 @@ class Relation {
   /// Writes the permutation of the tuple-index window [begin, end) into
   /// `out`, ordered by (column value at `position`, tuple index). This is
   /// the delta-window counterpart of Sorted(): semi-naive passes sort
-  /// just their delta slice instead of touching the global index.
+  /// just their delta slice instead of touching the global index. The
+  /// sort is the radix kernel from kRadixSortMinEntries entries up.
   ///
   /// The last window per position is memoized: a round where several
   /// rules drive off the same delta slice sorts it once, and SyncSorted
@@ -384,9 +394,12 @@ class Relation {
   /// as the final tiebreak — the trie a leapfrog join walks level by
   /// level (each level's slice is a SortedRange over the next key
   /// position). Built lazily and extended incrementally like Sorted():
-  /// the insertion tail is sorted and merged with the synced prefix. A
-  /// single-position key aliases Sorted(key[0]) — same order, no second
-  /// index. The returned reference is valid until the next insert.
+  /// the insertion tail is sorted — from kRadixSortMinEntries entries
+  /// up by one stable radix pass per varying digit of each key
+  /// position, last position first — and merged with the synced
+  /// prefix. A single-position key aliases Sorted(key[0]) — same order,
+  /// no second index. The returned reference is valid until the next
+  /// insert.
   /// Thread-safe on a relation that no longer grows (a published
   /// snapshot): concurrent callers share one build per key.
   /// A JoinPlan with a leapfrog residual builds its lex permutations
@@ -451,8 +464,11 @@ class Relation {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
   }
-  /// Extends sorted_[pos].perm to cover all count_ tuples (sort the new
-  /// tail, merge with the sorted prefix).
+  /// Extends sorted_[pos].perm to cover all count_ tuples: promote a
+  /// memoized SortWindow run that starts at the synced prefix, sort the
+  /// rest of the tail (the radix kernel from kRadixSortMinEntries
+  /// entries up) and merge the runs. Counts every sorted and merged
+  /// entry (TuplesSortedOnThisThread).
   void SyncSorted(uint32_t pos) const;
 
   uint32_t arity_;

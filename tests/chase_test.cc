@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -9,7 +10,11 @@
 #include "chase/chase.h"
 #include "chase/instance.h"
 #include "datalog/parser.h"
+#include "owl/generator.h"
+#include "owl/rdf_mapping.h"
+#include "rdf/graph.h"
 #include "test_util.h"
+#include "translate/owl2ql_program.h"
 
 namespace triq::chase {
 namespace {
@@ -252,6 +257,53 @@ TEST(ChaseTest, ConstraintSeesDerivedFacts) {
   db.AddFact("p", {"a"});
   db.AddFact("r", {"a"});
   EXPECT_EQ(RunChase(program, &db).code(), StatusCode::kInconsistent);
+}
+
+TEST(ChaseTest, ConstraintCheckHonoursAnExpiredDeadline) {
+  // No rule derives anything, so the constraint pass is the whole run:
+  // it must check the deadline like every other match pass.
+  auto dict = Dict();
+  Program program = Parse("p(?X), q(?X) -> false .", dict);
+  Instance db(dict);
+  db.AddFact("p", {"a"});
+  db.AddFact("q", {"b"});
+  ChaseOptions options;
+  options.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  EXPECT_EQ(RunChase(program, &db, options).code(),
+            StatusCode::kResourceExhausted);
+  // Without a deadline the same run is consistent.
+  EXPECT_TRUE(RunChase(program, &db).ok());
+}
+
+TEST(ChaseTest, ConstraintsOverEmptyRelationsSortNothing) {
+  // τ_owl2ql_core over an ontology without disjointness axioms: disj
+  // and disj_property stay empty, so its two -> false constraints can
+  // never match, and their plans must build no index.
+  auto dict = Dict();
+  owl::RandomOntologyOptions oo;
+  oo.num_classes = 12;
+  oo.num_properties = 4;
+  oo.num_individuals = 300;
+  oo.num_subclass_axioms = 16;
+  oo.num_subproperty_axioms = 4;
+  oo.num_disjoint_axioms = 0;
+  oo.num_class_assertions = 300;
+  oo.num_property_assertions = 600;
+  rdf::Graph graph(dict);
+  owl::OntologyToGraph(owl::RandomOntology(oo, dict.get()), &graph);
+  const Instance db = Instance::FromGraph(graph);
+  const Program with = translate::BuildOwl2QlCoreProgram(dict);
+  const Program without = with.WithoutConstraints();
+  ASSERT_LT(without.rules().size(), with.rules().size());
+  ChaseStats stats_with;
+  ChaseStats stats_without;
+  Instance a = db.CloneFacts();
+  Instance b = db.CloneFacts();
+  ASSERT_TRUE(RunChase(with, &a, {}, &stats_with).ok());
+  ASSERT_TRUE(RunChase(without, &b, {}, &stats_without).ok());
+  EXPECT_GT(stats_with.tuples_sorted, 0u);
+  EXPECT_EQ(stats_with.tuples_sorted, stats_without.tuples_sorted);
+  EXPECT_EQ(stats_with.facts_derived, stats_without.facts_derived);
 }
 
 TEST(ChaseTest, MultiHeadRuleInsertsAllAtoms) {

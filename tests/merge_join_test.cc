@@ -166,6 +166,91 @@ TEST(JoinPlanShapeTest, StrategiesReachEveryAccessPath) {
       has(plan(kTriangle, chase::JoinStrategy::kBinary), "merge-cursor"));
 }
 
+/// A conjunction with an empty positive atom cannot match, so its plan
+/// builds no index: no lex permutation for a leapfrog residual, no
+/// sorted driver window or merge-cursor permutation, no posting sync —
+/// while EXPLAIN keeps the access paths it would run. Each case plans
+/// over a fresh instance, so any build would count sort work.
+TEST(EmptyPlanTest, EmptyAtomBuildsNoIndexAndFindsNoMatch) {
+  auto fill = [](chase::Instance* db) {
+    std::mt19937 rng(3);
+    for (int i = 0; i < 400; ++i) {
+      db->AddFact("e", {"v" + std::to_string(rng() % 40),
+                        "v" + std::to_string(rng() % 40)});
+      db->AddFact("f", {"v" + std::to_string(rng() % 40),
+                        "w" + std::to_string(rng() % 40)});
+    }
+  };
+  struct Case {
+    std::string_view rule;
+    std::vector<size_t> atom_end;  // empty windows via atom_end = 0
+    int delta_body_index;
+    std::string_view label;  // an access path EXPLAIN must still show
+  };
+  const Case cases[] = {
+      // Leapfrog triangle: the empty atom is ordered first…
+      {"e(?X, ?Y), e(?Y, ?Z), e(?Z, ?X) -> t(?X)",
+       {chase::kNoTupleLimit, chase::kNoTupleLimit, 0}, -1, "leapfrog["},
+      // …or sits in the residual below a non-empty delta driver.
+      {"e(?X, ?Y), e(?Y, ?Z), e(?Z, ?X) -> t(?X)",
+       {chase::kNoTupleLimit, chase::kNoTupleLimit, 0}, 0, "leapfrog["},
+      // An absent relation in the residual.
+      {"e(?X, ?Y), e(?Y, ?Z), absent(?Z, ?X) -> t(?X)", {}, 0, "leapfrog["},
+      // Merge-cursor shape: sorted driver window over e, cursor over f.
+      {"e(?X, ?Y), f(?Y, ?Z) -> g(?X, ?Z)", {chase::kNoTupleLimit, 0}, 0,
+       "merge-cursor(pos 0)"},
+      // A driver with a constant reads postings; the probed atom below
+      // it is empty.
+      {"e(v1, ?Y), f(?Y, ?Z) -> g(?Z)", {chase::kNoTupleLimit, 0}, 0,
+       "0: e(v1, ?Y)  postings"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.rule) + " delta " +
+                 std::to_string(c.delta_body_index));
+    auto dict = Dict();
+    chase::Instance db(dict);
+    fill(&db);
+    datalog::Rule rule = ParseR(c.rule, dict.get());
+    chase::MatchOptions options;
+    options.atom_end = c.atom_end;
+    options.delta_body_index = c.delta_body_index;
+    const uint64_t before = chase::TuplesSortedOnThisThread();
+    const chase::JoinPlan plan(rule, db, options);
+    EXPECT_EQ(plan.driver_size(), 0u);
+    plan.FreezeIndexes();
+    size_t matches = 0;
+    Status status = plan.Run(0, plan.driver_size(), [&](const chase::Match&) {
+      ++matches;
+      return true;
+    });
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(matches, 0u);
+    EXPECT_EQ(chase::TuplesSortedOnThisThread(), before);
+    const std::string explain = plan.Explain();
+    EXPECT_NE(explain.find(c.label), std::string::npos) << explain;
+  }
+}
+
+TEST(EmptyPlanTest, AtomProbeOverAnEmptyWindowBuildsNoIndex) {
+  auto dict = Dict();
+  chase::Instance db(dict);
+  for (int i = 0; i < 100; ++i) {
+    db.AddFact("e", {"v" + std::to_string(i % 7), "v" + std::to_string(i)});
+  }
+  datalog::Rule rule = ParseR("e(?X, ?Y) -> g(?X)", dict.get());
+  const datalog::Atom& atom = rule.body[0];
+  const datalog::Term x = atom.args[0];
+  chase::Binding seed;
+  seed.Bind(x, datalog::Term::Constant(dict->Intern("v3")));
+  const uint64_t before = chase::TuplesSortedOnThisThread();
+  chase::AtomProbe probe(atom, db, seed, /*window_end=*/0);
+  EXPECT_FALSE(probe.HasMatch(seed));
+  EXPECT_EQ(chase::TuplesSortedOnThisThread(), before);
+  // The same probe over the whole relation finds the witness.
+  chase::AtomProbe full(atom, db, seed, db.Find("e")->size());
+  EXPECT_TRUE(full.HasMatch(seed));
+}
+
 /// The leapfrog residual on the workload it was built for: a 3-atom
 /// cyclic (triangle) rule, where kAuto engages it. kAuto and the binary
 /// plan enumerate the identical match set, with and without

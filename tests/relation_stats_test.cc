@@ -2,6 +2,8 @@
 // stay exact under incremental inserts and SortWindow promotion, the
 // HyperLogLog estimate is order-independent and within tolerance, and
 // LexPerm is the lexicographic trie order the leapfrog join assumes.
+// The permutation sort kernel (radix from kRadixSortMinEntries up)
+// gives exactly the comparison-sort order on both sides of its cutoff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,24 +119,32 @@ TEST(RelationStatsTest, EstimatedDistinctIsInsertionOrderIndependent) {
   }
 }
 
-/// Checks that `perm` is (col key[0], col key[1], ..., tuple index)
-/// lexicographic order over all stored tuples.
+/// std::sort of the tuple indices [begin, end) under (column values at
+/// key[0], key[1], ..., tuple index): the comparator every permutation
+/// was sorted with before the radix kernel.
+std::vector<uint32_t> ReferenceOrder(const chase::Relation& rel,
+                                     const std::vector<uint32_t>& key,
+                                     uint32_t begin, uint32_t end) {
+  std::vector<uint32_t> out;
+  for (uint32_t i = begin; i < end; ++i) out.push_back(i);
+  std::sort(out.begin(), out.end(), [&](uint32_t a, uint32_t b) {
+    for (uint32_t pos : key) {
+      datalog::Term va = rel.tuple(a)[pos];
+      datalog::Term vb = rel.tuple(b)[pos];
+      if (va != vb) return va < vb;
+    }
+    return a < b;
+  });
+  return out;
+}
+
+/// Checks that `perm` is the (key values..., tuple index) order over
+/// all stored tuples.
 void ExpectLexOrder(const chase::Relation& rel,
                     const std::vector<uint32_t>& key,
                     const std::vector<uint32_t>& perm) {
-  ASSERT_EQ(perm.size(), rel.size());
-  std::vector<uint32_t> expected(rel.size());
-  for (uint32_t i = 0; i < expected.size(); ++i) expected[i] = i;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     for (uint32_t pos : key) {
-                       datalog::Term va = rel.tuple(a)[pos];
-                       datalog::Term vb = rel.tuple(b)[pos];
-                       if (va.raw() != vb.raw()) return va < vb;
-                     }
-                     return a < b;
-                   });
-  EXPECT_EQ(perm, expected);
+  EXPECT_EQ(perm, ReferenceOrder(rel, key, 0,
+                                 static_cast<uint32_t>(rel.size())));
 }
 
 TEST(RelationStatsTest, LexPermOrdersByKeyThenIndexAndExtends) {
@@ -162,6 +172,152 @@ TEST(RelationStatsTest, LexPermOrdersByKeyThenIndexAndExtends) {
   // Single-position keys alias the sorted permutation: same order.
   std::vector<uint32_t> key1 = {1};
   ExpectLexOrder(*rel, key1, rel->LexPerm(key1));
+}
+
+// ---- permutation sort kernel ------------------------------------------
+//
+// Sorted, SortWindow and LexPerm must hold exactly the order std::sort
+// gives under (key values..., tuple index) — on both sides of
+// Relation::kRadixSortMinEntries, for duplicate-heavy columns and for
+// labeled nulls, whose tag bits sit in the radix kernel's top digit.
+
+using chase::Term;
+
+std::vector<uint32_t> ToVector(chase::SortedRange range) {
+  return std::vector<uint32_t>(range.begin(), range.end());
+}
+
+/// Value distributions for the three keyed positions.
+enum class Values {
+  kWide,        // 30-bit payloads: every radix digit varies
+  kDuplicates,  // four values: long runs of equal keys
+  kNulls,       // constants and labeled nulls mixed
+};
+
+Term Draw(Values kind, std::mt19937* rng) {
+  switch (kind) {
+    case Values::kWide:
+      return Term::Constant((*rng)() & ((1u << 30) - 1));
+    case Values::kDuplicates:
+      return Term::Constant((*rng)() % 4);
+    case Values::kNulls:
+      return (*rng)() % 2 == 0 ? Term::Null((*rng)() % 3000)
+                               : Term::Constant((*rng)() % 3000);
+  }
+  return Term();
+}
+
+/// Appends `n` tuples to a 4-ary relation: positions 0-2 drawn from
+/// `kind`, position 3 a serial number, so every tuple is new.
+void Append(chase::Relation* rel, Values kind, uint32_t n,
+            std::mt19937* rng) {
+  for (uint32_t i = 0; i < n; ++i) {
+    chase::Tuple t = {Draw(kind, rng), Draw(kind, rng), Draw(kind, rng),
+                      Term::Constant(static_cast<uint32_t>(rel->size()))};
+    ASSERT_TRUE(rel->Insert(t));
+  }
+}
+
+const std::vector<std::vector<uint32_t>> kLexKeys = {
+    {1, 0}, {2, 1}, {1, 0, 2}, {2, 0, 1}};
+
+TEST(SortKernelTest, MatchesComparisonSortAcrossTheCutoff) {
+  constexpr uint32_t kCutoff = chase::Relation::kRadixSortMinEntries;
+  for (Values kind : {Values::kWide, Values::kDuplicates, Values::kNulls}) {
+    for (uint32_t n : {0u, 1u, kCutoff - 1, kCutoff, 100000u}) {
+      SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                   ", n " + std::to_string(n));
+      std::mt19937 rng(n + 31 * static_cast<uint32_t>(kind));
+      // Windows first, on a relation no permutation is synced on yet:
+      // a full-window SortWindow would otherwise answer from Sorted().
+      chase::Relation rel(4);
+      Append(&rel, kind, n, &rng);
+      for (uint32_t pos = 0; pos < 3; ++pos) {
+        std::vector<uint32_t> window;
+        rel.SortWindow(pos, 0, n, &window);
+        EXPECT_EQ(window, ReferenceOrder(rel, {pos}, 0, n));
+        if (n > 0) {
+          rel.SortWindow(pos, 1, n, &window);
+          EXPECT_EQ(window, ReferenceOrder(rel, {pos}, 1, n));
+        }
+      }
+      for (uint32_t pos = 0; pos < 3; ++pos) {
+        EXPECT_EQ(ToVector(rel.Sorted(pos)), ReferenceOrder(rel, {pos}, 0, n));
+      }
+      for (const std::vector<uint32_t>& key : kLexKeys) {
+        EXPECT_EQ(rel.LexPerm(key), ReferenceOrder(rel, key, 0, n));
+      }
+    }
+  }
+}
+
+TEST(SortKernelTest, IncrementalSyncsEqualAFromScratchBuild) {
+  constexpr uint32_t kCutoff = chase::Relation::kRadixSortMinEntries;
+  // Tails below, at and above the cutoff, with a sync after each.
+  const std::vector<uint32_t> chunks = {1,  5,           37,      kCutoff - 1,
+                                        3,  kCutoff,     2,       900,
+                                        64, 3 * kCutoff, kCutoff, 11};
+  for (Values kind : {Values::kWide, Values::kDuplicates, Values::kNulls}) {
+    SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
+    std::mt19937 rng(5 + static_cast<uint32_t>(kind));
+    chase::Relation grown(4);
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      const uint32_t begin = static_cast<uint32_t>(grown.size());
+      Append(&grown, kind, chunks[c], &rng);
+      const uint32_t end = static_cast<uint32_t>(grown.size());
+      // Every other chunk, position 0 goes through a memoized delta
+      // window first, so its sync promotes the run instead of sorting.
+      if (c % 2 == 0) {
+        std::vector<uint32_t> window;
+        grown.SortWindow(0, begin, end, &window);
+        EXPECT_EQ(window, ReferenceOrder(grown, {0}, begin, end));
+      }
+      for (uint32_t pos = 0; pos < 3; ++pos) (void)grown.Sorted(pos);
+      for (const std::vector<uint32_t>& key : kLexKeys) {
+        (void)grown.LexPerm(key);
+      }
+    }
+    chase::Relation scratch(4);
+    for (chase::TupleView t : grown.tuples()) {
+      ASSERT_TRUE(scratch.Insert(t));
+    }
+    const uint32_t n = static_cast<uint32_t>(grown.size());
+    for (uint32_t pos = 0; pos < 3; ++pos) {
+      EXPECT_EQ(ToVector(grown.Sorted(pos)), ToVector(scratch.Sorted(pos)));
+      EXPECT_EQ(ToVector(grown.Sorted(pos)), ReferenceOrder(grown, {pos}, 0, n));
+    }
+    for (const std::vector<uint32_t>& key : kLexKeys) {
+      EXPECT_EQ(grown.LexPerm(key), scratch.LexPerm(key));
+      EXPECT_EQ(grown.LexPerm(key), ReferenceOrder(grown, key, 0, n));
+    }
+  }
+}
+
+TEST(SortKernelTest, PromotedWindowRunMergesIntoTheSortedOrder) {
+  constexpr uint32_t kCutoff = chase::Relation::kRadixSortMinEntries;
+  for (Values kind : {Values::kWide, Values::kDuplicates, Values::kNulls}) {
+    SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
+    std::mt19937 rng(77 + static_cast<uint32_t>(kind));
+    chase::Relation rel(4);
+    Append(&rel, kind, 3 * kCutoff, &rng);
+    (void)rel.Sorted(1);
+    const uint32_t synced = static_cast<uint32_t>(rel.size());
+    Append(&rel, kind, 4 * kCutoff, &rng);
+    const uint32_t count = static_cast<uint32_t>(rel.size());
+    // The memoized window covers only the front of the tail: the sync
+    // promotes it, sorts the rest, and merges three runs.
+    const uint32_t window_end = synced + 2 * kCutoff + 7;
+    const uint64_t before = chase::TuplesSortedOnThisThread();
+    std::vector<uint32_t> window;
+    rel.SortWindow(1, synced, window_end, &window);
+    EXPECT_EQ(window, ReferenceOrder(rel, {1}, synced, window_end));
+    EXPECT_EQ(ToVector(rel.Sorted(1)), ReferenceOrder(rel, {1}, 0, count));
+    // The counted work: the window, the rest of the tail, the merge of
+    // the two tail runs, then the merge with the synced prefix.
+    EXPECT_EQ(chase::TuplesSortedOnThisThread() - before,
+              uint64_t{window_end - synced} + (count - window_end) +
+                  (count - synced) + count);
+  }
 }
 
 // ---- frozen-index contract --------------------------------------------

@@ -13,7 +13,9 @@ Independently of the gated names, the deterministic workload counters
 must match exactly — a machine-independent result-correctness gate.
 Counters whose names end in a measurement suffix (_qps, _ns, _us) are
 recorded observations (throughput, latency percentiles), not workload
-invariants, and are excluded from the exactness check.
+invariants, and are excluded from the exactness check. Every baseline
+counter, measurement or not, must still be recorded by the current run:
+a counter the bench stopped emitting fails instead of passing unchecked.
 
 CI (Release job) runs:
 
@@ -42,10 +44,14 @@ MEASUREMENT_SUFFIXES = ("_qps", "_ns", "_us")
 
 
 def check_counters(name, baseline, current):
-    """Returns True when any deterministic counter diverges."""
+    """Returns True when any deterministic counter diverges or any
+    baseline counter is missing from the current run."""
     failed = False
     base_counters = baseline.get("counters", {})
     cur_counters = current.get("counters", {})
+    for key in sorted(set(base_counters) - set(cur_counters)):
+        print(f"FAIL {name}: counter {key} missing from the current run")
+        failed = True
     for key in sorted(set(base_counters) & set(cur_counters)):
         if key.endswith(MEASUREMENT_SUFFIXES):
             continue
